@@ -184,65 +184,80 @@ class PalFMIndex:
             raise ValueError("pi_cw cannot be DOLLAR")
         if g < 0:
             raise ValueError("negative group count")
-        b, e = iv.b, iv.e
         if pi_cw != INF:
-            k = int(pi_cw)
-            if k > self.K:
+            pi_cw = int(pi_cw)
+        b, e = self._step(iv.b, iv.e, pi_cw, g)
+        return _EMPTY if b > e else PalInterval(b, e)
+
+    def _step(self, b, e, pi_cw, g):
+        """Rows (b', e') for cw from the rows [b..e] of w; (1, 0) when no
+        row survives."""
+        if pi_cw != INF:
+            if pi_cw > self.K:
                 # finite group id no text suffix ever takes; its section
                 # code would collide with INF's, so answer before encoding
-                return _EMPTY
-            before = self.L.rank(b - 1, k)
-            through = self.L.rank(e, k)
+                return 1, 0
+            before, through = self.L.rank_pair(b, e, pi_cw)
             if through == before:
-                return _EMPTY
-            return PalInterval(self.F.select(before + 1, k),
-                               self.F.select(through, k))
+                return 1, 0
+            return self.F.select_pair(before + 1, through, pi_cw)
         # no prefix-palindrome in cw: survivors are rows whose L exceeds g,
         # and they map to the top of the LF image of [b..e].  INF rows
         # qualify whatever g is, so the lower cut clamps to the INF code.
-        lo = min(g + 1, self.K + 1)
         hi = self.K + 1
-        cnt = self.L.range_count(b, e, lo, hi)
+        cnt = self.L.range_count(b, e, g + 1 if g < hi else hi, hi)
         if cnt == 0:
-            return _EMPTY
-        top = self.lf_values[self.lf_rmq.rmq(b, e) - 1]
-        return PalInterval(top - cnt + 1, top)
+            return 1, 0
+        top = self.lf_rmq.max_value(b, e)
+        return top - cnt + 1, top
 
     def _pattern_interval(self, p):
+        """Rows (b, e) whose suffixes pal-match p; (1, 0) when none."""
         if len(p) == 0:
             raise ValueError("empty pattern")
         prof = palcore.pattern_preprocess(p)
-        iv = PalInterval(1, self.n + 1)
-        for i in range(len(p), 0, -1):
-            iv = self.backward_step(iv, prof.pi_arr[i - 1], prof.g_arr[i - 1])
-            if iv.is_empty:
-                return _EMPTY
-        return iv
+        step = self._step
+        b, e = 1, self.n + 1
+        for pi_cw, g in zip(reversed(prof.pi_arr), reversed(prof.g_arr)):
+            b, e = step(b, e, pi_cw, g)
+            if b > e:
+                break
+        return b, e
 
     def count(self, p):
         """Number of windows of the text pal-matching p."""
-        return self._pattern_interval(p).width()
+        b, e = self._pattern_interval(p)
+        return e - b + 1
 
     def locate(self, p):
         """Sorted 1-based start positions of windows pal-matching p."""
-        iv = self._pattern_interval(p)
-        if iv.is_empty:
-            return []
-        return sorted(self.sa_access(i) for i in range(iv.b, iv.e + 1))
+        b, e = self._pattern_interval(p)
+        return sorted(self._walk(range(b, e + 1)))
 
     def sa_access(self, i):
         """Suffix start stored at row i, via the delta-sampled walk."""
         if not 1 <= i <= self.n + 1:
             raise ValueError("row %r out of range" % (i,))
-        steps = 0
-        j = i
-        while not self.B.bit_at(j):
-            j = self.lf_values[j - 1]
-            steps += 1
-            if steps > self.delta:
+        return self._walk((i,))[0]
+
+    def _walk(self, rows):
+        """Suffix starts of the given rows: each follows LF until a
+        sampled row, at most delta steps, and adds the steps taken to the
+        sample stored there."""
+        marked, rank = self.B.bit_at, self.B.rank
+        lf, S = self.lf_values, self.S
+        span = range(self.delta + 1)
+        starts = []
+        for j in rows:
+            for steps in span:
+                if marked(j):
+                    break
+                j = lf[j - 1]
+            else:
                 raise IndexFormatError("sampling walk exceeded delta; "
                                        "index is inconsistent")
-        return self.S[self.B.rank(j, 1) - 1] + steps
+            starts.append(S[rank(j, 1) - 1] + steps)
+        return starts
 
     # -- reporting -------------------------------------------------------
 
@@ -263,7 +278,7 @@ class PalFMIndex:
             "rank_tables": 2 * (self.K + 2) * (rows + 1),
             "positions": 2 * rows,
             "lf": rows,
-            "rmq": sum(len(r) for r in self.lf_rmq._table),
+            "rmq": self.lf_rmq.table_entries(),
             "samples": len(self.S) + rows + 1,
         }
         total_bits = len(image) * 8
@@ -292,12 +307,12 @@ class PalFMIndex:
         fc = self.F.codes()
         lc = self.L.codes()
 
-        for c in range(0, self.K + 2):
-            if self.F.rank(rows, c) != self.L.rank(rows, c):
-                return VerifyResult(False, "histogram",
-                                    "code %d: F has %d, L has %d"
-                                    % (c, self.F.rank(rows, c),
-                                       self.L.rank(rows, c)))
+        c = _histogram_mismatch(self.F, self.L, self.K)
+        if c is not None:
+            return VerifyResult(False, "histogram",
+                                "code %d: F has %d, L has %d"
+                                % (c, self.F.rank(rows, c),
+                                   self.L.rank(rows, c)))
 
         if fc[0] != DOLLAR or fc.count(DOLLAR) != 1 or lc.count(DOLLAR) != 1:
             return VerifyResult(False, "dollar-placement",
@@ -374,6 +389,16 @@ class PalFMIndex:
                                     "increasing" % (i - 1, i))
             prev = cur
         return VerifyResult(True)
+
+
+def _histogram_mismatch(f_seq, l_seq, k):
+    """First code in [0..k+1] that F and L hold different numbers of
+    times, or None."""
+    rows = len(f_seq)
+    for c in range(k + 2):
+        if f_seq.rank(rows, c) != l_seq.rank(rows, c):
+            return c
+    return None
 
 
 def build(text, delta=32, force=False):
@@ -518,8 +543,16 @@ def deserialize(data):
         raise IndexFormatError("sample count does not match the marks")
     if not 1 <= delta <= max(n, 1):
         raise IndexFormatError("delta outside [1..max(n,1)]")
+    starts = range(1, rows + 1, delta)
+    if len(samples) != len(starts) or set(samples) != set(starts):
+        raise IndexFormatError("sample values are not the starts 1, "
+                               "1+delta, ... up to n+1, each once")
     f_seq = CodeSeq(fcodes, k_max + 1)
     l_seq = CodeSeq(lcodes, k_max + 1)
+    # equal histograms keep every select that LF and backward search make
+    # in range
+    if _histogram_mismatch(f_seq, l_seq, k_max) is not None:
+        raise IndexFormatError("F and L code histograms differ")
     lf_values = []
     for i in range(1, rows + 1):
         c = l_seq.code_at(i)

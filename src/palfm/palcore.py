@@ -258,25 +258,69 @@ class PatternProfile:
 
 
 def pattern_preprocess(p):
-    """PatternProfile for pattern p from sspg and group_counts of the
-    reversed pattern.
+    """PatternProfile for pattern p from sspg and group counts of the
+    reversed pattern r, computed in fused passes:
 
-    The intermediate arrays are shared rather than recomputed per encoding;
-    reversing a string mirrors its centers, so the maximal-palindrome
-    lengths of p are those of the reversed pattern read backwards and one
-    pass serves both directions.
+    - One Manacher pass over r.  Reversing mirrors the centers, so the
+      maximal palindromes of p are those of r read backwards.
+    - One sweep per direction gives ssp of r and ssp of p (spp of r read
+      backwards), each applying the ssp recurrence as it goes.
+    - One pass over the maximal palindromes of r applies the
+      representative test of group_counts once; each representative adds
+      to the group count at its end and, when it is shorter than the
+      bound sspg uses one position later, to that sspg identifier.
+
+    The suffix-palindrome group keyed by the upcoming character exists iff
+    r has a non-trivial suffix-palindrome there, i.e. iff ssp is finite.
     """
     m = len(p)
     if m == 0:
         raise ValueError("empty pattern")
     r = p[::-1]
     lens = maximal_palindromes(r)
-    lp, lp2 = _suffix_pal_sweep(r, lens)
-    s = _ssp_from(lp, lp2)
-    sp = _ssp_from(*_suffix_pal_sweep(p, lens[::-1]))[::-1]
-    buckets = _rep_buckets(r, lens)
-    sg = _sspg_from(m, s, sp, buckets)
-    gc = _group_counts_from(m, lp, sp, buckets)
-    pi_arr = tuple(sg[m - i] for i in range(1, m + 1))
-    g_arr = tuple(gc[m - i - 1] if i < m else 0 for i in range(1, m + 1))
-    return PatternProfile(pi_arr=pi_arr, g_arr=g_arr)
+    ends = [(t + ln - 1) >> 1 for t, ln in enumerate(lens, 2)]
+    s = _ssp_sweep(ends, m)
+    # a palindrome r[a..j] is p[m+1-j..m+1-a], so p's centers come in
+    # reverse order, and sp[m+1-a] is spp of r at position a-1
+    sp = _ssp_sweep([m - j + ln for j, ln in zip(reversed(ends),
+                                                 reversed(lens))], m)
+    reps = [0] * (m + 1)
+    below = [0] * (m + 1)
+    for j, ln in zip(ends, lens):
+        a = j - ln + 1
+        if a >= 2 and sp[m + 1 - a] > ln + 1:
+            reps[j] += 1
+            if j < m and ln + 1 < s[j]:
+                below[j] += 1
+    pi_arr = tuple(INF if s[q] == INF else below[q] + 1
+                   for q in range(m - 1, -1, -1))
+    g_arr = tuple((s[q] != INF) + reps[q] for q in range(m - 1, 0, -1))
+    return PatternProfile(pi_arr=pi_arr, g_arr=g_arr + (0,))
+
+
+def _ssp_sweep(ends, n):
+    """ssp of a length-n string from the end positions of its maximal
+    palindromes: the frontiers of _suffix_pal_sweep with the _ssp_from
+    recurrence applied at each position.
+
+    The second frontier only matters where the longest suffix-palindrome
+    is non-trivial; it is caught up lazily, which is safe because every
+    center it skips ends before the current position.
+    """
+    out = [INF] * n
+    t1 = 2
+    t2 = 3
+    for i in range(1, n + 1):
+        if t1 <= i:
+            t1 = i + 1
+        while ends[t1 - 2] < i:
+            t1 += 1
+        top = 2 * i
+        if t1 < top:
+            if t2 <= t1:
+                t2 = t1 + 1
+            while t2 < top and ends[t2 - 2] < i:
+                t2 += 1
+            # second longest 2i+1-t2 <= 1: the longest is also the shortest
+            out[i - 1] = top + 1 - t1 if t2 >= top else out[i - 1 + t1 - t2]
+    return out

@@ -1,5 +1,8 @@
 """Command-line behaviour, exercised in process through main()."""
 
+import struct
+import zlib
+
 import pytest
 
 from palfm import build, cli, serialize
@@ -108,6 +111,18 @@ def test_corrupt_index_exits_2(files, tmp_path, capsys):
     bad.write_bytes(bytes(img))
     assert cli.main(["count", str(bad), "bb"]) == 2
     assert cli.main(["verify", str(bad), str(text)]) == 2
+
+
+def test_resealed_index_with_unequal_histograms_exits_2(files, tmp_path,
+                                                        capsys):
+    _, idx = files
+    img = bytearray(idx.read_bytes())
+    img[36 + 12] = 2  # first L code: INF -> 2, one more 2 than F holds
+    img[-4:] = struct.pack("<I", zlib.crc32(bytes(img[:-4])) & 0xFFFFFFFF)
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(bytes(img))
+    assert cli.main(["count", str(bad), "bb"]) == 2
+    assert "histograms" in capsys.readouterr().err
 
 
 def test_missing_files_exit_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ from palfm import index as index_mod
 from palfm import oracle, palcore
 from palfm.index import DOLLAR, PalInterval, build, deserialize, serialize
 from palfm.palcore import INF
-from palfm.succinct import CodeSeq
+from palfm.succinct import BitVec, CodeSeq
 
 T = "abbabbcbc"
 
@@ -98,6 +98,19 @@ def test_sampling_walk():
         idx.sa_access(0)
     with pytest.raises(ValueError):
         idx.sa_access(11)
+
+
+def test_sampling_walk_is_bounded_by_delta():
+    # only the empty suffix's row marked: from the row of start s the walk
+    # needs s steps, more than delta = 2 for most hits of "ab"
+    idx = build(T, delta=2)
+    idx.B = BitVec([1] + [0] * idx.n)
+    idx.S = [idx.n + 1]
+    assert idx.sa_access(1) == idx.n + 1
+    with pytest.raises(index_mod.IndexFormatError, match="delta"):
+        idx.locate("ab")
+    with pytest.raises(index_mod.IndexFormatError, match="delta"):
+        idx.sa_access(2)  # start 9
 
 
 def test_locate_independent_of_sampling_rate():

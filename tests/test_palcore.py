@@ -175,18 +175,37 @@ def test_pattern_preprocess_fixtures():
 
 def test_pattern_preprocess_agrees_with_per_suffix_values():
     rng = random.Random(31)
+    fib = "a"
+    prev = "b"
+    while len(fib) < 300:
+        fib, prev = fib + prev, fib
+    patterns = []
     for _ in range(200):
         m = rng.randint(1, 20)
-        p = "".join(rng.choice("abc") for _ in range(m))
+        patterns.append("".join(rng.choice("abc") for _ in range(m)))
+    for _ in range(25):
+        m = rng.randint(21, 120)
+        sigma = rng.choice("234")
+        patterns.append("".join(rng.choice("abcd"[:int(sigma)])
+                                for _ in range(m)))
+    for m in (1, 2, 3, 7, 60, 120):
+        patterns += ["a" * m, ("ab" * m)[:m], fib[m:2 * m]]
+    for _ in range(20):
+        s = rng.randrange(len(fib) - 120)
+        patterns.append(fib[s:s + rng.randint(1, 120)])
+    patterns += [p.encode() for p in patterns[::10]]
+    for p in patterns:
+        m = len(p)
         prof = palcore.pattern_preprocess(p)
+        # prefix k of the reversed pattern is the reversed suffix p[m-k..]
+        groups_rev = oracle.groups_naive(p[::-1])
         for i in range(1, m + 1):
-            assert prof.pi_arr[i - 1] == palcore.pi(p[i - 1:])
+            assert prof.pi_arr[i - 1] == palcore.pi(p[i - 1:]), (p, i)
             if i == m:
                 assert prof.g_arr[i - 1] == 0
             else:
-                rest = p[i:]
-                groups, _ = oracle.groups_naive(rest[::-1])[-1]
-                assert prof.g_arr[i - 1] == len(groups)
+                groups, _ = groups_rev[m - i - 1]
+                assert prof.g_arr[i - 1] == len(groups), (p, i)
 
 
 def test_encodings_accept_bytes():

@@ -103,6 +103,17 @@ def _reseal(img):
     return img[:-4] + struct.pack("<I", zlib.crc32(img[:-4]) & 0xFFFFFFFF)
 
 
+def _payload_offsets(img):
+    """Section tag -> offset of its payload in the image."""
+    off = 8 + 4 + 4 + 8 + 8 + 4
+    out = {}
+    while off < len(img) - 4:
+        tag, length = struct.unpack_from("<IQ", img, off)
+        out[tag] = off + 12
+        off += 12 + length
+    return out
+
+
 def test_missing_section_is_reported():
     img = serialize(build("ab", delta=1))
     # strip the final section (sample values) and fix the checksum
@@ -114,8 +125,8 @@ def test_missing_section_is_reported():
         sections.append((tag, img[off:off + 12 + length]))
         off += 12 + length
     kept = b"".join(raw for tag, raw in sections if tag != 4)
-    rebuilt = img[:28] + kept + b"\x00\x00\x00\x00"
-    with pytest.raises(IndexFormatError):
+    rebuilt = img[:36] + kept + b"\x00\x00\x00\x00"
+    with pytest.raises(IndexFormatError, match="missing sections"):
         deserialize(_reseal(rebuilt))
 
 
@@ -123,11 +134,31 @@ def test_code_outside_declared_alphabet_is_reported():
     idx = build("ab", delta=1)
     img = bytearray(serialize(idx))
     # first byte of the L section payload
-    off = 28 + 12
-    img[off] = idx.K + 2
+    img[_payload_offsets(img)[1]] = idx.K + 2
+    with pytest.raises(IndexFormatError, match="alphabet"):
+        deserialize(_reseal(bytes(img)))
+
+
+def test_unequal_code_histograms_are_reported():
+    img = bytearray(serialize(build("abbabbcbc", delta=2)))
+    # L codes are [inf, inf, 2, inf, 2, $, 2, 2, 1, 1]: a fifth 2 in L
+    # meets four in F, so LF would select past F's last 2
+    img[_payload_offsets(img)[1]] = 2
     with pytest.raises(IndexFormatError) as err:
         deserialize(_reseal(bytes(img)))
     assert not isinstance(err.value, ChecksumError)
+
+
+def test_sample_values_must_be_the_sampled_starts():
+    idx = build("abbabbcbc", delta=2)
+    img = serialize(idx)
+    off = _payload_offsets(img)[4]
+    for bad in (10 ** 12, idx.S[1], 2):
+        damaged = bytearray(img)
+        struct.pack_into("<Q", damaged, off, bad)
+        with pytest.raises(IndexFormatError) as err:
+            deserialize(_reseal(bytes(damaged)))
+        assert not isinstance(err.value, ChecksumError)
 
 
 def test_error_types_share_a_base():

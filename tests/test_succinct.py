@@ -47,6 +47,13 @@ def test_codeseq_rank_matches_counting():
         for c in range(-1, k + 3):
             for i in range(0, n + 1, max(1, n // 7)):
                 assert cs.rank(i, c) == codes[:i].count(c)
+                for b in (1, i // 2 + 1, i + 1):
+                    assert cs.rank_pair(b, i, c) == (codes[:b - 1].count(c),
+                                                     codes[:i].count(c))
+    cs = CodeSeq([1, 0, 2], 2)
+    for b, e in ((0, 2), (3, 1), (1, 4)):
+        with pytest.raises(QueryRangeError):
+            cs.rank_pair(b, e, 1)
 
 
 def test_codeseq_select_inverse():
@@ -57,6 +64,11 @@ def test_codeseq_select_inverse():
             p = cs.select(r, c)
             assert codes[p - 1] == c
             assert cs.rank(p, c) == r
+            for r2 in range(r, codes.count(c) + 1):
+                assert cs.select_pair(r, r2, c) == (p, cs.select(r2, c))
+    for r1, r2, c in ((0, 1, 2), (2, 1, 2), (1, 5, 2), (1, 1, 9)):
+        with pytest.raises(QueryRangeError):
+            cs.select_pair(r1, r2, c)
     with pytest.raises(QueryRangeError):
         cs.select(5, 2)
     with pytest.raises(QueryRangeError):
@@ -118,6 +130,7 @@ def test_rmq_matches_linear_scan():
             p = rm.rmq(i, j)
             best = max(v[i - 1:j])
             assert v[p - 1] == best
+            assert rm.max_value(i, j) == best
             assert all(v[q - 1] < best for q in range(i, p))
 
 
@@ -127,9 +140,10 @@ def test_rmq_ties_go_left():
 
 def test_rmq_errors():
     rm = RmqIndex([1, 2])
-    with pytest.raises(QueryRangeError):
-        rm.rmq(2, 1)
-    with pytest.raises(QueryRangeError):
-        rm.rmq(0, 1)
-    with pytest.raises(QueryRangeError):
-        rm.rmq(1, 3)
+    for query in (rm.rmq, rm.max_value):
+        with pytest.raises(QueryRangeError):
+            query(2, 1)
+        with pytest.raises(QueryRangeError):
+            query(0, 1)
+        with pytest.raises(QueryRangeError):
+            query(1, 3)
