@@ -21,7 +21,7 @@ import numpy as np
 
 from . import palcore
 from .palcore import INF
-from .succinct import BitVec, CodeSeq, RmqIndex
+from .succinct import BitVec, CodeSeq, RmqIndex, int_list
 
 DOLLAR = 0
 
@@ -82,17 +82,20 @@ class VerifyResult:
     detail: str = ""
 
 
-def _code_of(value, k):
-    """Symbol -> section code: DOLLAR = 0, ids unchanged, INF = k+1."""
-    if value == INF:
-        return k + 1
-    return int(value)
-
-
-def _value_of(code, k):
-    if code == k + 1:
-        return INF
-    return code
+def _pi_codes(text):
+    """(K, codes): codes[s] is the section code of pi(T[s..]) for s in 1..n
+    (INF as K+1, K the largest group id) and DOLLAR at 0 and n+1, so for
+    the sorted starts sa, F is codes[sa] and L is codes[sa - 1]."""
+    n = len(text)
+    codes = np.zeros(n + 2, dtype=np.int64)
+    if not n:
+        return 0, codes
+    # pi(T[s..]) is sspg of the reversed text at n-s
+    pi_suf = np.array(palcore.sspg(text[::-1])[::-1], dtype=np.float64)
+    inf = np.isinf(pi_suf)
+    k = int(pi_suf[~inf].max()) if not inf.all() else 0
+    codes[1:n + 1] = np.where(inf, k + 1, pi_suf)
+    return k, codes
 
 
 def _encoding_column(ssp_codes, starts, col, n, inf_code):
@@ -111,7 +114,8 @@ def _encoding_column(ssp_codes, starts, col, n, inf_code):
 
 
 def _pal_suffix_sort(ssp_arr):
-    """Starts 1..n+1 sorted by the ssp encodings of the suffixes.
+    """Starts 1..n+1 sorted by the ssp encodings of the suffixes, as an
+    int64 array.
 
     Rank refinement one column at a time; stops once all ranks are
     distinct, which is guaranteed by column n+1 where every suffix has
@@ -119,7 +123,7 @@ def _pal_suffix_sort(ssp_arr):
     """
     n = len(ssp_arr)
     if n == 0:
-        return [1]
+        return np.ones(1, dtype=np.int64)
     inf_code = n + 2
     ssp_codes = np.fromiter(
         (inf_code if v == INF else int(v) for v in ssp_arr),
@@ -140,7 +144,7 @@ def _pal_suffix_sort(ssp_arr):
         rank[order] = new_sorted
         if new_sorted[-1] == n:
             break
-    return [int(starts[o]) for o in order]
+    return starts[order]
 
 
 @dataclass
@@ -304,32 +308,22 @@ class PalFMIndex:
         component is named rather than drowned in downstream noise.
         """
         rows = self.n + 1
-        fc = self.F.codes()
-        lc = self.L.codes()
+        fc = np.array(self.F.codes())
+        lc = np.array(self.L.codes())
 
-        c = _histogram_mismatch(self.F, self.L, self.K)
-        if c is not None:
-            return VerifyResult(False, "histogram",
-                                "code %d: F has %d, L has %d"
-                                % (c, self.F.rank(rows, c),
-                                   self.L.rank(rows, c)))
+        bad = _code_mismatch(fc, lc, self.K)
+        if bad:
+            return VerifyResult(False, *bad)
 
-        if fc[0] != DOLLAR or fc.count(DOLLAR) != 1 or lc.count(DOLLAR) != 1:
-            return VerifyResult(False, "dollar-placement",
-                                "each of F and L needs exactly one DOLLAR, "
-                                "F's in row 1")
-
-        last = {}
-        for i in range(1, rows + 1):
-            c = lc[i - 1]
-            if c == DOLLAR:
-                continue
-            v = self.lf_values[i - 1]
-            if c in last and v <= last[c]:
-                return VerifyResult(False, "lf-noncrossing",
-                                    "rows with L code %d map out of order "
-                                    "at row %d" % (c, i))
-            last[c] = v
+        # rows sharing an L code must map to increasing rows
+        order = np.argsort(lc, kind="stable")
+        crossed = ((np.diff(lc[order]) == 0)
+                   & (np.diff(np.array(self.lf_values)[order]) <= 0))
+        if crossed.any():
+            i = order[crossed.argmax() + 1]
+            return VerifyResult(False, "lf-noncrossing",
+                                "rows with L code %d map out of order "
+                                "at row %d" % (lc[i], i + 1))
 
         if len(text) != self.n:
             return VerifyResult(False, "definitional-lf",
@@ -337,39 +331,34 @@ class PalFMIndex:
                                 % (len(text), self.n))
         ssp_arr = palcore.ssp(text)
         sa = _pal_suffix_sort(ssp_arr)
-        row_of = [0] * (self.n + 2)
-        for r, s in enumerate(sa, 1):
-            row_of[s] = r
-        for i in range(1, rows + 1):
-            s = sa[i - 1]
-            want = 1 if s == 1 else row_of[s - 1]
-            if self.lf_values[i - 1] != want:
-                return VerifyResult(False, "definitional-lf",
-                                    "row %d: LF is %d, definition gives %d"
-                                    % (i, self.lf_values[i - 1], want))
+        # row_of[s]: the row of start s; row 1 is LF of the row of start 1
+        row_of = np.ones(rows + 1, dtype=np.int64)
+        row_of[sa] = np.arange(1, rows + 1)
+        want = row_of[sa - 1]
+        differ = np.flatnonzero(np.array(self.lf_values) != want)
+        if differ.size:
+            i = differ[0]
+            return VerifyResult(False, "definitional-lf",
+                                "row %d: LF is %d, definition gives %d"
+                                % (i + 1, self.lf_values[i], want[i]))
 
-        if self.n:
-            sg_rev = palcore.sspg(text[::-1])
-            pi_suf = [None] * (self.n + 2)
-            for s in range(1, self.n + 1):
-                pi_suf[s] = sg_rev[self.n - s]
-            for i in range(1, rows + 1):
-                s = sa[i - 1]
-                fw = DOLLAR if i == 1 else _code_of(pi_suf[s], self.K)
-                lw = DOLLAR if s == 1 else _code_of(pi_suf[s - 1], self.K)
-                if fc[i - 1] != fw or lc[i - 1] != lw:
-                    return VerifyResult(False, "fl-content",
-                                        "row %d differs from the pi values "
-                                        "recomputed off the text" % i)
+        k, pi_codes = _pi_codes(text)
+        differ = np.flatnonzero((fc != pi_codes[sa])
+                                | (lc != pi_codes[sa - 1]) | (k != self.K))
+        if differ.size:
+            return VerifyResult(False, "fl-content",
+                                "row %d differs from the pi values "
+                                "recomputed off the text (K %d, text "
+                                "gives %d)" % (differ[0] + 1, self.K, k))
 
-        marks = [1 if (s - 1) % self.delta == 0 else 0 for s in sa]
-        samples = [s for s in sa if (s - 1) % self.delta == 0]
-        if [self.B.bit_at(i) for i in range(1, rows + 1)] != marks \
-                or self.S != samples:
+        marked = (sa - 1) % self.delta == 0
+        if [self.B.bit_at(i) for i in range(1, rows + 1)] != marked.tolist() \
+                or self.S != sa[marked].tolist():
             return VerifyResult(False, "sampling",
                                 "delta marks or sample values do not match "
                                 "the suffix order")
 
+        sa = sa.tolist()
         inf_code = self.n + 2
         codes = [inf_code if v == INF else int(v) for v in ssp_arr]
 
@@ -391,14 +380,62 @@ class PalFMIndex:
         return VerifyResult(True)
 
 
-def _histogram_mismatch(f_seq, l_seq, k):
-    """First code in [0..k+1] that F and L hold different numbers of
-    times, or None."""
-    rows = len(f_seq)
-    for c in range(k + 2):
-        if f_seq.rank(rows, c) != l_seq.rank(rows, c):
-            return c
+def _code_mismatch(fcodes, lcodes, k):
+    """(violation, detail) when the F and L code rows cannot belong to any
+    index, else None: their histograms over [0..k+1] must be equal, and
+    F's only DOLLAR must sit in row 1 (the empty suffix)."""
+    f_hist = np.bincount(fcodes, minlength=k + 2)
+    l_hist = np.bincount(lcodes, minlength=k + 2)
+    differ = np.flatnonzero(f_hist != l_hist)
+    if differ.size:
+        c = differ[0]
+        return ("histogram", "F and L code histograms differ: code %d: "
+                "F has %d, L has %d" % (c, f_hist[c], l_hist[c]))
+    if fcodes[0] != DOLLAR or f_hist[DOLLAR] != 1:
+        return ("dollar-placement", "each of F and L needs exactly one "
+                "DOLLAR, F's in row 1")
     return None
+
+
+def _assemble(n, delta, k, fcodes, lcodes):
+    """(index, starts) for F and L code rows, int arrays of n+1 codes in
+    [0..k+1]; starts[r-1] is the suffix start of row r.
+
+    The r-th occurrence of a code in L maps to its r-th occurrence in F,
+    which gives LF; walking LF from row 1 (the empty suffix) must meet
+    every row once, at the starts n+1, n, ..., 1, which fix the sampling.
+    Raises IndexFormatError when the codes allow no such walk.
+    """
+    bad = _code_mismatch(fcodes, lcodes, k)
+    if bad:
+        raise IndexFormatError(bad[1])
+    rows = n + 1
+    lf = np.empty(rows, dtype=np.int64)
+    lf[np.argsort(lcodes, kind="stable")] = \
+        np.argsort(fcodes, kind="stable") + 1
+    lf_values = int_list(lf)
+    # lf is a permutation: the walk returns to row 1, after all n+1 rows
+    walk = [0]
+    r = lf_values[0] - 1
+    while r:
+        walk.append(r)
+        r = lf_values[r] - 1
+    if len(walk) != rows:
+        raise IndexFormatError("LF walk from row 1 returns after %d of %d "
+                               "rows" % (len(walk), rows))
+    starts = np.empty(rows, dtype=np.int64)
+    starts[walk] = np.arange(rows, 0, -1)
+    marked = (starts - 1) % delta == 0
+    idx = PalFMIndex(
+        n=n, delta=delta, K=k,
+        F=CodeSeq(fcodes, k + 1),
+        L=CodeSeq(lcodes, k + 1),
+        lf_values=lf_values,
+        lf_rmq=RmqIndex(lf_values),
+        B=BitVec(marked),
+        S=int_list(starts[marked]),
+    )
+    return idx, starts
 
 
 def build(text, delta=32, force=False):
@@ -414,50 +451,31 @@ def build(text, delta=32, force=False):
         raise ValueError("text of %d symbols exceeds the construction guard "
                          "(%d); pass force=True (--force-large) to override"
                          % (n, BUILD_GUARD))
-    ssp_arr = palcore.ssp(text)
-    sa = _pal_suffix_sort(ssp_arr)
-    pi_suf = [None] * (n + 2)
-    if n:
-        sg_rev = palcore.sspg(text[::-1])
-        for s in range(1, n + 1):
-            pi_suf[s] = sg_rev[n - s]
-    k_max = 0
-    for s in range(1, n + 1):
-        v = pi_suf[s]
-        if v != INF and v > k_max:
-            k_max = int(v)
-    rows = n + 1
-    row_of = [0] * (n + 2)
-    for r, s in enumerate(sa, 1):
-        row_of[s] = r
-    fcodes = [0] * rows
-    lcodes = [0] * rows
-    lf_values = [0] * rows
-    for r in range(1, rows + 1):
-        s = sa[r - 1]
-        if r > 1:
-            fcodes[r - 1] = _code_of(pi_suf[s], k_max)
-        if s > 1:
-            lcodes[r - 1] = _code_of(pi_suf[s - 1], k_max)
-            lf_values[r - 1] = row_of[s - 1]
-        else:
-            lf_values[r - 1] = 1
-    idx = PalFMIndex(
-        n=n, delta=delta, K=k_max,
-        F=CodeSeq(fcodes, k_max + 1),
-        L=CodeSeq(lcodes, k_max + 1),
-        lf_values=lf_values,
-        lf_rmq=RmqIndex(lf_values),
-        B=BitVec([1 if (s - 1) % delta == 0 else 0 for s in sa]),
-        S=[s for s in sa if (s - 1) % delta == 0],
-    )
-    for r in range(1, rows + 1):
-        if idx._lf_formula(r) != lf_values[r - 1]:
-            raise RuntimeError("construction self-check failed at row %d" % r)
+    sa = _pal_suffix_sort(palcore.ssp(text))
+    k_max, pi_codes = _pi_codes(text)
+    # the LF walk over the codes must find the sorted starts again
+    try:
+        idx, starts = _assemble(n, delta, k_max, pi_codes[sa],
+                                pi_codes[sa - 1])
+    except IndexFormatError as err:
+        raise RuntimeError("construction self-check failed: %s" % err)
+    if not np.array_equal(starts, sa):
+        raise RuntimeError("construction self-check failed: the LF walk "
+                           "does not meet the sorted starts")
     return idx
 
 
 # -- persistence ---------------------------------------------------------
+
+
+def _sampling_payloads(idx):
+    """(mark section, sample section) payloads for idx's sampling."""
+    rows = idx.n + 1
+    marked = np.zeros(rows, dtype=bool)
+    marked[[idx.B.select(r, 1) - 1
+            for r in range(1, idx.B.rank(rows, 1) + 1)]] = True
+    return (np.packbits(marked, bitorder="little").tobytes(),
+            np.array(idx.S, dtype="<u8").tobytes())
 
 
 def serialize(idx):
@@ -465,20 +483,14 @@ def serialize(idx):
     sections (L codes, F codes, packed marks, sample values), crc32."""
     if idx.K + 1 > 0xFF:
         raise ValueError("group alphabet too large for byte-coded sections")
-    rows = idx.n + 1
     head = MAGIC + struct.pack("<II", FORMAT_VERSION, 0)
     head += struct.pack("<QQ", idx.n, idx.delta)
     head += struct.pack("<I", idx.K)
-    sections = []
-    sections.append((_SEC_L, bytes(idx.L.codes())))
-    sections.append((_SEC_F, bytes(idx.F.codes())))
-    marks = bytearray((rows + 7) // 8)
-    for r in range(rows):
-        if idx.B.bit_at(r + 1):
-            marks[r >> 3] |= 1 << (r & 7)
-    sections.append((_SEC_MARKS, bytes(marks)))
-    sections.append((_SEC_SAMPLES,
-                     b"".join(struct.pack("<Q", v) for v in idx.S)))
+    marks, samples = _sampling_payloads(idx)
+    sections = [(_SEC_L, bytes(idx.L.codes())),
+                (_SEC_F, bytes(idx.F.codes())),
+                (_SEC_MARKS, marks),
+                (_SEC_SAMPLES, samples)]
     body = b"".join(struct.pack("<IQ", tag, len(payload)) + payload
                     for tag, payload in sections)
     image = head + body
@@ -488,9 +500,9 @@ def serialize(idx):
 def deserialize(data):
     """Rebuild an index from serialize() output.
 
-    Derived structures (LF, its range-maximum table, rank directories) are
-    recomputed; bad magic, unsupported version, truncation and checksum
-    mismatch raise their own error types.
+    LF, the sampling and the succinct tables are derived from F and L, and
+    the stored mark and sample sections must equal the derived ones; bad
+    magic, version, truncation and checksum raise their own error types.
     """
     if len(data) < len(MAGIC):
         raise TruncatedError("image shorter than the magic")
@@ -525,46 +537,23 @@ def deserialize(data):
     if missing:
         raise IndexFormatError("missing sections %s" % sorted(missing))
     rows = n + 1
-    lcodes = list(payloads[_SEC_L])
-    fcodes = list(payloads[_SEC_F])
-    if len(lcodes) != rows or len(fcodes) != rows:
+    if len(payloads[_SEC_L]) != rows or len(payloads[_SEC_F]) != rows:
         raise IndexFormatError("code section length does not match n")
-    if max(lcodes + fcodes) > k_max + 1:
-        raise IndexFormatError("code outside the declared alphabet")
-    marks_raw = payloads[_SEC_MARKS]
-    if len(marks_raw) != (rows + 7) // 8:
-        raise IndexFormatError("mark section length does not match n")
-    bits = [(marks_raw[r >> 3] >> (r & 7)) & 1 for r in range(rows)]
-    sraw = payloads[_SEC_SAMPLES]
-    if len(sraw) % 8:
-        raise IndexFormatError("sample section length not a multiple of 8")
-    samples = [v[0] for v in struct.iter_unpack("<Q", sraw)]
-    if len(samples) != sum(bits):
-        raise IndexFormatError("sample count does not match the marks")
+    lcodes = np.frombuffer(payloads[_SEC_L], dtype=np.uint8)
+    fcodes = np.frombuffer(payloads[_SEC_F], dtype=np.uint8)
+    # a one-symbol suffix has no prefix-palindrome, so INF (K+1) is the
+    # largest code of any text but the empty one, whose K is 0
+    if max(lcodes.max(), fcodes.max()) != (k_max + 1 if n else k_max):
+        raise IndexFormatError("largest code is not K+1, the INF of the "
+                               "declared alphabet")
     if not 1 <= delta <= max(n, 1):
         raise IndexFormatError("delta outside [1..max(n,1)]")
-    starts = range(1, rows + 1, delta)
-    if len(samples) != len(starts) or set(samples) != set(starts):
-        raise IndexFormatError("sample values are not the starts 1, "
-                               "1+delta, ... up to n+1, each once")
-    f_seq = CodeSeq(fcodes, k_max + 1)
-    l_seq = CodeSeq(lcodes, k_max + 1)
-    # equal histograms keep every select that LF and backward search make
-    # in range
-    if _histogram_mismatch(f_seq, l_seq, k_max) is not None:
-        raise IndexFormatError("F and L code histograms differ")
-    lf_values = []
-    for i in range(1, rows + 1):
-        c = l_seq.code_at(i)
-        if c == DOLLAR:
-            lf_values.append(1)
-        else:
-            lf_values.append(f_seq.select(l_seq.rank(i, c), c))
-    return PalFMIndex(
-        n=n, delta=delta, K=k_max, F=f_seq, L=l_seq,
-        lf_values=lf_values, lf_rmq=RmqIndex(lf_values),
-        B=BitVec(bits), S=samples,
-    )
+    idx, _ = _assemble(n, delta, k_max, fcodes, lcodes)
+    if (payloads[_SEC_MARKS], payloads[_SEC_SAMPLES]) \
+            != _sampling_payloads(idx):
+        raise IndexFormatError("mark or sample section differs from the "
+                               "sampling the LF walk derives")
+    return idx
 
 
 def build_timed(text, delta=32, force=False):

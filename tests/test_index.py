@@ -179,6 +179,25 @@ def test_construction_guard(monkeypatch):
     assert build("abcdef", delta=2, force=True).n == 6
 
 
+@pytest.mark.parametrize("rows", [(5, 7), (3, 4), (1, 2)])
+def test_construction_self_check(monkeypatch, rows):
+    # rows 5 and 7 of T hold the same F and L codes, so that swap leaves
+    # LF intact and only the walked starts differ from the sorted ones;
+    # swapping rows 3 and 4 splits LF's cycle, and rows 1 and 2 move F's
+    # DOLLAR out of row 1
+    sort = index_mod._pal_suffix_sort
+
+    def swapped(ssp_arr):
+        sa = sort(ssp_arr).copy()
+        i, j = rows[0] - 1, rows[1] - 1
+        sa[i], sa[j] = sa[j], sa[i]
+        return sa
+
+    monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
+    with pytest.raises(RuntimeError, match="self-check"):
+        build(T, delta=2)
+
+
 def test_interval_helpers():
     assert PalInterval(3, 2).is_empty
     assert PalInterval(3, 2).width() == 0

@@ -36,6 +36,14 @@ def test_round_trip_is_byte_identical():
         assert back.K == idx.K
         assert back.lf_values == idx.lf_values
         assert back.S == idx.S
+        # numpy scalars would leak into CLI and repr output
+        rows = idx.n + 1
+        for got in (back.lf_values, back.S, back.locate(t[:2] or "a"),
+                    [back.sa_access(r) for r in range(1, rows + 1)],
+                    [back.L.rank(rows, c) for c in range(back.K + 2)],
+                    [back.B.rank(rows, 1), back.B.select(1, 1),
+                     back.F.select(1, 0)]):
+            assert all(type(v) is int for v in got)
 
 
 def test_round_trip_preserves_queries():
@@ -137,6 +145,11 @@ def test_code_outside_declared_alphabet_is_reported():
     img[_payload_offsets(img)[1]] = idx.K + 2
     with pytest.raises(IndexFormatError, match="alphabet"):
         deserialize(_reseal(bytes(img)))
+    # a declared K past the byte codes would size every rank table by it
+    img = bytearray(serialize(idx))
+    struct.pack_into("<I", img, 32, 0xFFFFFFFF)
+    with pytest.raises(IndexFormatError, match="alphabet"):
+        deserialize(_reseal(bytes(img)))
 
 
 def test_unequal_code_histograms_are_reported():
@@ -153,12 +166,60 @@ def test_sample_values_must_be_the_sampled_starts():
     idx = build("abbabbcbc", delta=2)
     img = serialize(idx)
     off = _payload_offsets(img)[4]
-    for bad in (10 ** 12, idx.S[1], 2):
+    for bad in ([10 ** 12], [idx.S[1]], [2], [idx.S[1], idx.S[0]]):
         damaged = bytearray(img)
-        struct.pack_into("<Q", damaged, off, bad)
+        struct.pack_into("<%dQ" % len(bad), damaged, off, *bad)
         with pytest.raises(IndexFormatError) as err:
             deserialize(_reseal(bytes(damaged)))
         assert not isinstance(err.value, ChecksumError)
+
+
+def test_swapped_l_codes_and_moved_marks_are_rejected():
+    # each edit keeps the histograms and the sample values, and used to
+    # load with locate("a") == [1, 3, 4, 5, 6, 7, 8, 9, 9]
+    img = serialize(build("abbabbcbc", delta=2))
+    offs = _payload_offsets(img)
+    l_swap = bytearray(img)
+    l0 = offs[1]
+    l_swap[l0], l_swap[l0 + 2] = img[l0 + 2], img[l0]
+    moved_mark = bytearray(img)
+    assert img[offs[3]] & 0b110 == 0b010  # row 2 marked, row 3 not
+    moved_mark[offs[3]] ^= 0b110
+    for damaged in (l_swap, moved_mark):
+        with pytest.raises(IndexFormatError) as err:
+            deserialize(_reseal(bytes(damaged)))
+        assert not isinstance(err.value, ChecksumError)
+
+
+def test_resealed_section_edits_never_load_a_wrong_index():
+    """Byte changes and byte swaps inside the code, mark and sample
+    sections, CRC recomputed: each image is refused with IndexFormatError
+    or loads an index that verify() rejects against the text."""
+    rng = random.Random(71)
+    for _ in range(12):
+        n = rng.randint(1, 24)
+        t = _random_text(rng, n, rng.choice((2, 3)))
+        img = serialize(build(t, delta=rng.randint(1, n)))
+        section = [p for off in _payload_offsets(img).values()
+                   for p in range(off, off + struct.unpack_from(
+                       "<Q", img, off - 8)[0])]
+        for _ in range(150):
+            damaged = bytearray(img)
+            if rng.random() < 0.5:
+                p = rng.choice(section)
+                damaged[p] = rng.choice((rng.randrange(256), img[p] ^ 1,
+                                         img[p] + 1 & 0xFF))
+            else:
+                p, q = rng.sample(section, 2)
+                damaged[p], damaged[q] = img[q], img[p]
+            if damaged == img:
+                continue
+            try:
+                loaded = deserialize(_reseal(bytes(damaged)))
+            except IndexFormatError as err:
+                assert not isinstance(err, ChecksumError)
+                continue
+            assert not loaded.verify(t).ok
 
 
 def test_error_types_share_a_base():
