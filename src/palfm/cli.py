@@ -4,7 +4,8 @@ Subcommands: build, count, locate, encode, stats, verify.  Texts are raw
 bytes (the alphabet is byte values, no encoding interpretation); patterns
 are literal arguments (utf-8) or @file for binary data, with one trailing
 newline stripped from @file reads.  Exit codes: 0 success, 1 usage,
-2 I/O or index-load failure, 3 verification failure.
+2 I/O or index-load failure, 3 verification failure or a failed
+construction self-check.
 """
 
 import argparse
@@ -76,6 +77,9 @@ def cmd_build(args):
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except index_mod.SelfCheckError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 3
     image = index_mod.serialize(idx)
     with open(args.index, "wb") as fh:
         fh.write(image)

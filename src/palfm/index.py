@@ -8,10 +8,20 @@ of the suffix starting one position earlier.  Backward search is then the
 FM-index loop: rank/select over L and F step intervals for finite pi, and a
 rangeCount plus range-maximum over LF handle the no-prefix-palindrome case.
 
+Construction sorts the suffixes in two phases: exact refinement of the
+still-tied rows one encoding column at a time, then, once that stops
+paying, a multikey quicksort whose comparisons find common prefixes by
+Karp-Rabin fingerprints with randomly drawn bases.  A suffix's encoding is
+the text's ssp with INF wherever the palindrome starts before the suffix
+(a prev-encoding, as for Baker's parameterized strings), so its
+fingerprint is the text's plus a correction for those positions.  build
+checks the order it gets, exactly at each pair's first differing column.
+
 Row numbers and text positions are 1-based; plain lists store row i at
 index i-1.
 """
 
+import random
 import struct
 import time
 import zlib
@@ -33,7 +43,8 @@ _SEC_F = 2
 _SEC_MARKS = 3
 _SEC_SAMPLES = 4
 
-# explicit-sort construction guard; larger texts need force=True / --force-large
+# larger texts need force=True / --force-large: a loaded index holds about
+# 145 times its image (Python lists of the rank, select and RMQ tables)
 BUILD_GUARD = 50_000
 
 
@@ -55,6 +66,11 @@ class TruncatedError(IndexFormatError):
 
 class ChecksumError(IndexFormatError):
     """The image checksum does not match its content."""
+
+
+class SelfCheckError(RuntimeError):
+    """build's self-check found the suffix order or the rows it built
+    inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -98,53 +114,336 @@ def _pi_codes(text):
     return k, codes
 
 
-def _encoding_column(ssp_codes, starts, col, n, inf_code):
-    """Column `col` of every suffix's ssp encoding, as sortable ints.
+# -- the pal-suffix sort -------------------------------------------------
+#
+# Suffix i (0-based start) shows, at encoding column k (1-based), text
+# position q = i+k-1: ssp(T)[q] when that palindrome starts inside the
+# suffix, i.e. when ssp(T)[q] <= k, INF when it starts before i (it
+# crosses the suffix start), and DOLLAR at q = n.  Suffixes of different
+# lengths differ by the column after the shorter one at the latest.
 
-    ssp of a standalone suffix T[s..] at offset k equals ssp(T)[s+k-1] when
-    that value fits in the window (<= k) and INF otherwise; out of bounds
-    is DOLLAR = 0.  ssp_codes holds ssp(T) with INF already as inf_code.
+# primes below 2**31: a product of two residues fits in an int64
+_MODULI = (2147483647, 2147483629)
+
+
+def _ssp_codes(ssp_arr):
+    """ssp(T) as n+1 int64 codes: INF as n+2, above every finite value and
+    every column, and DOLLAR at index n, the position past the text."""
+    n = len(ssp_arr)
+    codes = np.zeros(n + 1, dtype=np.int64)
+    vals = np.array(ssp_arr, dtype=np.float64)
+    vals[vals > n] = n + 2
+    codes[:n] = vals
+    return codes
+
+
+def _shown(codes, pos, col):
+    """Encoding values at text positions pos seen from encoding columns
+    col (pos = start + col - 1, at most n)."""
+    v = codes[pos]
+    return np.where(v <= col, v, len(codes) + 1)
+
+
+class _Handover:
+    """When exact column-by-column work hands its open rows to
+    fingerprints: once it has spent 2 (n+1) lg(n+1) row-steps, at the first
+    column past which the crossing corrections of _Windows fit in n+1
+    entries.  Random text finishes well inside the step budget; repetitive
+    text would need about n columns."""
+
+    def __init__(self, codes):
+        rows = len(codes)
+        self.codes = codes
+        self.steps = 2 * rows * max(1, (rows - 1).bit_length())
+        self.beyond = None
+
+    def __call__(self, col, steps):
+        if steps < self.steps:
+            return False
+        if self.beyond is None:
+            self.beyond = _crossings_beyond(self.codes)
+        return self.beyond[col] <= len(self.codes)
+
+
+def _crossings_beyond(codes):
+    """c[d] for d in 0..n+1: the (suffix, position) pairs at encoding
+    columns past d where the suffix shows INF for a finite ssp value.
+    Position q with ssp value v is crossed by v-1 suffixes, at columns
+    1..v-1."""
+    n = len(codes) - 1
+    crossed = codes[:n][codes[:n] <= n] - 1
+    # g[j]: positions crossed at column j or later
+    g = np.bincount(crossed, minlength=n + 3)[::-1].cumsum()[::-1]
+    return g[::-1].cumsum()[::-1][1:]
+
+
+class _Windows:
+    """Karp-Rabin fingerprints of encoding windows, columns depth+1..L.
+
+    The window of suffix i is the raw window ssp(T)[i+depth..i+L) plus,
+    at each position whose palindrome crosses i, the step from its ssp
+    value up to INF.  Raw windows come from prefix sums of ssp(T)[q] B^q;
+    the crossing steps from prefix sums over a list of (suffix, position)
+    entries sorted by suffix, then position, found by one searchsorted
+    per window that every modulus shares.  The list holds only the
+    columns past depth: _crossings_beyond(codes)[depth] entries.
+
+    Two windows of length L are compared as polynomials in a base B drawn
+    at random per instance and modulus.  Different windows collide only
+    when B is a root of their non-zero difference, of degree below L:
+    with probability at most L/P per comparison and modulus P, so at
+    most (L/P1)(L/P2) < 2**-60 L**2 for both.
     """
-    e = starts + (col - 1)
-    out = np.zeros(len(starts), dtype=np.int64)
-    valid = e <= n
-    vals = ssp_codes[e[valid] - 1]
-    out[valid] = np.where(vals <= col, vals, inf_code)
-    return out
+
+    def __init__(self, codes, depth):
+        n = len(codes) - 1
+        self.n, self.depth = n, depth
+        # positions crossed past column depth, and by how many suffixes
+        finite = np.where(codes[:n] <= n, codes[:n], 0)
+        pos = np.flatnonzero(finite > depth + 1)
+        count = finite[pos] - (depth + 1)
+        total = int(count.sum())
+        self.keys = None
+        if total:
+            at = np.repeat(pos, count)
+            # suffixes pos-depth, pos-depth-1, ..., down to the palindrome
+            # start + 1, i.e. pos - ssp + 2
+            runs = np.repeat(np.cumsum(count) - count, count)
+            first = at - depth - (np.arange(total) - runs)
+            self.keys = np.sort(first * (n + 1) + at)
+            at = self.keys % (n + 1)
+            self.lower = np.searchsorted(self.keys,
+                                         np.arange(n + 1) * (n + 1))
+        # numpy.random would cost megabytes of code pages; this is free
+        rng = random.SystemRandom()
+        self.mods = []
+        for m in _MODULI:
+            pw = _powers(rng.randrange(2, m - 1), n + 1, m)
+            pre = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(codes[:n] * pw[:n] % m, out=pre[1:])
+            cum = None
+            if total:
+                cum = np.zeros(total + 1, dtype=np.int64)
+                np.cumsum((n + 2 - codes[at]) * pw[at] % m, out=cum[1:])
+            self.mods.append((m, pw, pre, cum))
+
+    def _corrections(self, starts, length):
+        """Index pair into the crossing sums for the windows of the
+        suffixes at starts, columns depth+1..length."""
+        upper = np.searchsorted(self.keys,
+                                starts * (self.n + 1) + starts + length)
+        return self.lower[starts], upper
+
+    def equal(self, a, b, length):
+        """Whether the windows of suffixes a and b agree through column
+        length."""
+        d = self.depth
+        if self.keys is not None:
+            a_lo, a_hi = self._corrections(a, length)
+            b_lo, b_hi = self._corrections(b, length)
+        same = None
+        for m, pw, pre, cum in self.mods:
+            fa = pre[a + length] - pre[a + d]
+            fb = pre[b + length] - pre[b + d]
+            if cum is not None:
+                fa += cum[a_hi] - cum[a_lo]
+                fb += cum[b_hi] - cum[b_lo]
+            # B^-a fa = B^-b fb, cross-multiplied
+            fa %= m
+            fb %= m
+            fa *= pw[b]
+            fb *= pw[a]
+            eq = fa % m == fb % m
+            same = eq if same is None else same & eq
+        return same
+
+    def lcp(self, a, b, lo, hi):
+        """Common encoding prefix of the suffixes a and b, known to be at
+        least lo (and lo >= depth) and at most hi: galloping from lo, then
+        binary search."""
+        lo = lo.copy()
+        hi = hi.copy()
+        todo = np.flatnonzero(lo < hi)
+        gallop = np.ones(todo.size, dtype=bool)
+        step = 1
+        while todo.size:
+            low, high = lo[todo], hi[todo]
+            probe = np.where(gallop, np.minimum(low + step, high),
+                             (low + high + 1) >> 1)
+            eq = self.equal(a[todo], b[todo], probe)
+            low = np.where(eq, probe, low)
+            high = np.where(eq, high, probe - 1)
+            lo[todo] = low
+            hi[todo] = high
+            gallop &= eq
+            open_ = low < high
+            todo = todo[open_]
+            gallop = gallop[open_]
+            step <<= 1
+        return lo
+
+
+def _powers(base, count, m):
+    """base**0 .. base**(count-1) modulo m, by doubling."""
+    pw = np.empty(count, dtype=np.int64)
+    pw[0] = 1
+    done, mult = 1, base
+    while done < count:
+        t = min(done, count - done)
+        np.multiply(pw[:t], mult, out=pw[done:done + t])
+        pw[done:done + t] %= m
+        mult = mult * mult % m
+        done += t
+    return pw
+
+
+def _refine_by_columns(codes, handover):
+    """Phase 1: refine the rows still tied with a neighbour by one exact
+    column at a time, until none is tied or handover says to stop.
+
+    Returns (order, rows, groups, depth): order[r] is the suffix at row
+    r; rows lists the tied rows in row order and groups their group
+    labels (non-decreasing), all of whose suffixes agree on the first
+    depth columns.
+    """
+    order = np.arange(len(codes), dtype=np.int64)
+    rows = order.copy()
+    groups = np.zeros(len(codes), dtype=np.int64)
+    stride = len(codes) + 2
+    col = steps = 0
+    while rows.size and not handover(col, steps):
+        col += 1
+        steps += rows.size
+        starts = order[rows]
+        key = _shown(codes, starts + (col - 1), col)
+        key += groups * stride
+        perm = np.argsort(key, kind="stable")
+        key = key[perm]
+        order[rows] = starts[perm]
+        head = np.empty(rows.size, dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        keep = _tied(head)
+        groups, rows = np.cumsum(head)[keep], rows[keep]
+    return order, rows, groups, col
+
+
+def _tied(head):
+    """Mask of the rows whose group, the rows from one flagged in head to
+    the next, has at least two rows."""
+    alone = head.copy()
+    alone[:-1] &= head[1:]
+    return ~alone
+
+
+def _refine_by_fingerprints(codes, order, rows, groups, depth):
+    """Phase 2: multikey quicksort of the tied groups left by phase 1, in
+    place on order.
+
+    Each group takes its middle row as pivot.  Every member finds its
+    common prefix with the pivot by fingerprints and is split on the
+    exact value at the next column: members below the pivot in ascending
+    order of that prefix length, members above in descending order, and
+    members agreeing on (side, length, value) stay tied one column
+    deeper.
+    """
+    n = len(codes) - 1
+    windows = _Windows(codes, depth)
+    known = np.full(rows.size, depth, dtype=np.int64)
+    while rows.size:
+        starts = order[rows]
+        head = np.empty(rows.size, dtype=bool)
+        head[0] = True
+        np.not_equal(groups[1:], groups[:-1], out=head[1:])
+        first = np.flatnonzero(head)
+        group = np.cumsum(head) - 1
+        pivot_at = (first + np.append(first[1:], rows.size)) >> 1
+        pivot = starts[pivot_at][group]
+        cap = np.minimum(n - starts, n - pivot)
+        known[pivot_at] = cap[pivot_at]
+        lcp = windows.lcp(starts, pivot, known, cap)
+        mine = _shown(codes, starts + lcp, lcp + 1)
+        side = np.where(mine > _shown(codes, pivot + lcp, lcp + 1), 2, 0)
+        side[pivot_at] = 1
+        perm = np.lexsort((mine, np.where(side, -lcp, lcp), side, group))
+        order[rows] = starts[perm]
+        group, side, lcp, mine = group[perm], side[perm], lcp[perm], mine[perm]
+        head = np.empty(rows.size, dtype=bool)
+        head[0] = True
+        head[1:] = ((group[1:] != group[:-1]) | (side[1:] != side[:-1])
+                    | (lcp[1:] != lcp[:-1]) | (mine[1:] != mine[:-1]))
+        keep = _tied(head)
+        groups, rows, known = np.cumsum(head)[keep], rows[keep], lcp[keep] + 1
 
 
 def _pal_suffix_sort(ssp_arr):
     """Starts 1..n+1 sorted by the ssp encodings of the suffixes, as an
     int64 array.
 
-    Rank refinement one column at a time; stops once all ranks are
-    distinct, which is guaranteed by column n+1 where every suffix has
-    shown its terminating DOLLAR.
+    Phase 1 refines tied rows column by column; phase 2 takes over the
+    groups still tied once that stops paying (see _Handover) and splits
+    them by fingerprinted common prefixes.  The order does not depend on
+    the fingerprint bases; a collision can only yield a wrong order, which
+    build's self-check then rejects.
     """
-    n = len(ssp_arr)
-    if n == 0:
-        return np.ones(1, dtype=np.int64)
-    inf_code = n + 2
-    ssp_codes = np.fromiter(
-        (inf_code if v == INF else int(v) for v in ssp_arr),
-        dtype=np.int64, count=n)
-    starts = np.arange(1, n + 2, dtype=np.int64)
-    rank = np.zeros(n + 1, dtype=np.int64)
-    order = starts - 1
-    for col in range(1, n + 2):
-        c = _encoding_column(ssp_codes, starts, col, n, inf_code)
-        order = np.lexsort((c, rank))
-        rs = rank[order]
-        cs = c[order]
-        change = np.empty(n + 1, dtype=bool)
-        change[0] = True
-        change[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-        new_sorted = np.cumsum(change) - 1
-        rank = np.empty_like(rank)
-        rank[order] = new_sorted
-        if new_sorted[-1] == n:
-            break
-    return starts[order]
+    codes = _ssp_codes(ssp_arr)
+    order, rows, groups, depth = _refine_by_columns(codes, _Handover(codes))
+    if rows.size:
+        _refine_by_fingerprints(codes, order, rows, groups, depth)
+    order += 1
+    return order
+
+
+def _common_prefix(codes, a, b, handover=None):
+    """(lcp, open, depth) for the suffixes a and b, compared exactly a
+    block of columns at a time: lcp is the common encoding prefix of each
+    pair, except for the pairs at indices open, still equal through
+    column depth when handover stopped the scan."""
+    n = len(codes) - 1
+    cap = np.minimum(n - a, n - b)
+    lcp = cap.copy()
+    todo = np.flatnonzero(cap > 0)
+    col = steps = 0
+    while todo.size and not (handover and handover(col, steps)):
+        width = max(1, len(codes) // todo.size)
+        cols = np.arange(col + 1, col + width + 1)
+        steps += todo.size * width
+        ta = a[todo, None] + (cols - 1)
+        tb = b[todo, None] + (cols - 1)
+        # the column after the shorter suffix ends every comparison
+        stop = cols > cap[todo, None]
+        stop |= (_shown(codes, np.minimum(ta, n), cols)
+                 != _shown(codes, np.minimum(tb, n), cols))
+        hit = stop.any(axis=1)
+        lcp[todo[hit]] = col + stop[hit].argmax(axis=1)
+        todo = todo[~hit]
+        col += width
+    lcp[todo] = col
+    return lcp, todo, col
+
+
+def _first_unsorted(ssp_arr, sa, exact):
+    """Index r of the first row pair (r+1, r+2) whose suffixes (1-based
+    starts sa) are not in strictly increasing encoding order, or -1.
+
+    Every pair is compared exactly through its common prefix and the
+    column after it.  With exact False, the pairs still equal when
+    _Handover stops the column scan get their common prefix from
+    fingerprints with fresh bases instead, an O(n log n) check that a
+    collision can only make fail.
+    """
+    codes = _ssp_codes(ssp_arr)
+    a, b = sa[:-1] - 1, sa[1:] - 1
+    lcp, todo, depth = _common_prefix(codes, a, b,
+                                      None if exact else _Handover(codes))
+    if todo.size:
+        n = len(codes) - 1
+        ta, tb = a[todo], b[todo]
+        lcp[todo] = _Windows(codes, depth).lcp(
+            ta, tb, lcp[todo], np.minimum(n - ta, n - tb))
+    bad = np.flatnonzero(_shown(codes, a + lcp, lcp + 1)
+                         >= _shown(codes, b + lcp, lcp + 1))
+    return int(bad[0]) if bad.size else -1
 
 
 @dataclass
@@ -358,25 +657,11 @@ class PalFMIndex:
                                 "delta marks or sample values do not match "
                                 "the suffix order")
 
-        sa = sa.tolist()
-        inf_code = self.n + 2
-        codes = [inf_code if v == INF else int(v) for v in ssp_arr]
-
-        def enc(s):
-            out = []
-            for k in range(1, self.n - s + 2):
-                v = codes[s + k - 2]
-                out.append(v if v <= k else inf_code)
-            return out
-
-        prev = enc(sa[0])
-        for i in range(2, rows + 1):
-            cur = enc(sa[i - 1])
-            if cur <= prev:
-                return VerifyResult(False, "sorted-order",
-                                    "rows %d and %d are not strictly "
-                                    "increasing" % (i - 1, i))
-            prev = cur
+        bad = _first_unsorted(ssp_arr, sa, exact=True)
+        if bad >= 0:
+            return VerifyResult(False, "sorted-order",
+                                "rows %d and %d are not strictly "
+                                "increasing" % (bad + 1, bad + 2))
         return VerifyResult(True)
 
 
@@ -441,27 +726,39 @@ def _assemble(n, delta, k, fcodes, lcodes):
 def build(text, delta=32, force=False):
     """Index the text with locate sampling rate delta.
 
-    The explicit-sort construction is quadratic in the worst case, so texts
-    longer than BUILD_GUARD are rejected unless force is given.
+    The suffix order comes from _pal_suffix_sort.  A self-check then
+    requires every pair of adjacent rows to be strictly increasing and the
+    LF walk over the F and L codes to meet the sorted starts; a failure
+    raises SelfCheckError.  Texts longer than BUILD_GUARD are rejected
+    unless force is given.
     """
     n = len(text)
     if not 1 <= delta <= max(n, 1):
         raise ValueError("delta must be in [1..%d]" % max(n, 1))
     if n > BUILD_GUARD and not force:
         raise ValueError("text of %d symbols exceeds the construction guard "
-                         "(%d); pass force=True (--force-large) to override"
-                         % (n, BUILD_GUARD))
-    sa = _pal_suffix_sort(palcore.ssp(text))
+                         "(%d; a loaded index takes about 145 times its "
+                         "image in memory); pass force=True (--force-large) "
+                         "to override" % (n, BUILD_GUARD))
+    ssp_arr = palcore.ssp(text)
+    sa = _pal_suffix_sort(ssp_arr)
+    bad = _first_unsorted(ssp_arr, sa, exact=False)
+    if bad >= 0:
+        raise SelfCheckError("construction self-check failed: rows %d and "
+                             "%d are not in increasing order"
+                             % (bad + 1, bad + 2))
+    # held through assembly, the list would raise build's memory peak
+    del ssp_arr
     k_max, pi_codes = _pi_codes(text)
     # the LF walk over the codes must find the sorted starts again
     try:
         idx, starts = _assemble(n, delta, k_max, pi_codes[sa],
                                 pi_codes[sa - 1])
     except IndexFormatError as err:
-        raise RuntimeError("construction self-check failed: %s" % err)
+        raise SelfCheckError("construction self-check failed: %s" % err)
     if not np.array_equal(starts, sa):
-        raise RuntimeError("construction self-check failed: the LF walk "
-                           "does not meet the sorted starts")
+        raise SelfCheckError("construction self-check failed: the LF walk "
+                             "does not meet the sorted starts")
     return idx
 
 

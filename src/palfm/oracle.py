@@ -120,6 +120,15 @@ def sspg_naive(w):
     return out
 
 
+def suffix_order_naive(w):
+    """Starts 1..n+1 of w sorted by the ssp encodings of their suffixes,
+    each computed from scratch by ssp_naive and ended by DOLLAR, which
+    sorts below every value (the empty suffix is DOLLAR alone)."""
+    _guard(w)
+    encodings = [ssp_naive(w[s - 1:]) + [0] for s in range(1, len(w) + 2)]
+    return sorted(range(1, len(w) + 2), key=lambda s: encodings[s - 1])
+
+
 def naive_search(t, p):
     """All 1-based positions whose window of |p| chars pal-matches p."""
     _guard(t)

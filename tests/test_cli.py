@@ -183,3 +183,23 @@ def test_guard_refusal_names_the_flag(tmp_path, capsys, monkeypatch):
     assert "--force-large" in capsys.readouterr().err
     assert cli.main(["build", str(text), str(out), "--delta", "2",
                      "--force-large"]) == 0
+
+
+def test_failed_self_check_exits_3_without_an_index(tmp_path, capsys,
+                                                    monkeypatch):
+    from palfm import index as index_mod
+    sort = index_mod._pal_suffix_sort
+
+    def swapped(ssp_arr):
+        sa = sort(ssp_arr)
+        sa[[2, 3]] = sa[[3, 2]]
+        return sa
+
+    monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
+    text = tmp_path / "t.txt"
+    text.write_bytes(T)
+    out = tmp_path / "o.idx"
+    assert cli.main(["build", str(text), str(out), "--delta", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: construction self-check failed: ")
+    assert not out.exists()

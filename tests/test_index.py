@@ -1,5 +1,6 @@
 """Index construction, backward search, locate sampling, verification."""
 
+import itertools
 import random
 
 import pytest
@@ -179,23 +180,106 @@ def test_construction_guard(monkeypatch):
     assert build("abcdef", delta=2, force=True).n == 6
 
 
-@pytest.mark.parametrize("rows", [(5, 7), (3, 4), (1, 2)])
-def test_construction_self_check(monkeypatch, rows):
-    # rows 5 and 7 of T hold the same F and L codes, so that swap leaves
-    # LF intact and only the walked starts differ from the sorted ones;
-    # swapping rows 3 and 4 splits LF's cycle, and rows 1 and 2 move F's
-    # DOLLAR out of row 1
+def _swapped_sort(rows):
     sort = index_mod._pal_suffix_sort
 
     def swapped(ssp_arr):
-        sa = sort(ssp_arr).copy()
+        sa = sort(ssp_arr)
         i, j = rows[0] - 1, rows[1] - 1
         sa[i], sa[j] = sa[j], sa[i]
         return sa
 
-    monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
-    with pytest.raises(RuntimeError, match="self-check"):
+    return swapped
+
+
+@pytest.mark.parametrize("rows", list(itertools.combinations(range(1, 11),
+                                                             2)))
+def test_construction_self_check(monkeypatch, rows):
+    # every swap of two of T's 10 rows; among them rows 2/3, 4/5, 4/6, 5/6
+    # and 6/7 leave F and L codes whose LF walk still meets the swapped
+    # starts, which only the sorted-order check sees
+    monkeypatch.setattr(index_mod, "_pal_suffix_sort", _swapped_sort(rows))
+    with pytest.raises(index_mod.SelfCheckError,
+                       match="construction self-check failed"):
         build(T, delta=2)
+
+
+def test_self_check_sees_swaps_past_its_exact_columns(monkeypatch):
+    # adjacent rows of a^300 share up to 299 columns; the check compares
+    # the first few exactly and finds the rest by fingerprints
+    monkeypatch.setattr(index_mod, "_pal_suffix_sort",
+                        _swapped_sort((200, 201)))
+    with pytest.raises(index_mod.SelfCheckError, match="rows 200 and 201"):
+        build("a" * 300, delta=2)
+
+
+def _fibonacci(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _mirrored_bytes(rng, n, width):
+    """Runs of width distinct bytes, each followed by its mirror image."""
+    out = b""
+    while len(out) < n:
+        run = bytes(rng.sample(range(256), width))
+        out += run + run[::-1]
+    return out[:n]
+
+
+def _small_text(rng, kind, n):
+    if kind == 0:
+        return "".join(rng.choice("abcd"[:rng.randint(1, 4)])
+                       for _ in range(n))
+    if kind == 1:
+        return (("a" * rng.randint(1, 4) + "b") * n)[:n]
+    if kind == 2:
+        period = "".join(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+        return (period * n)[:n]
+    if kind == 3:
+        return _fibonacci(n + 3)[rng.randint(0, 3):][:n]
+    return _mirrored_bytes(rng, n, rng.randint(1, 6))
+
+
+def _fingerprint_order(ssp_arr, depth):
+    """The order phase 2 of the sort reaches from the groups phase 1
+    leaves after depth columns; at depth 0 all rows are one group."""
+    codes = index_mod._ssp_codes(ssp_arr)
+    order, rows, groups, reached = index_mod._refine_by_columns(
+        codes, lambda col, steps: col >= depth)
+    if rows.size:
+        index_mod._refine_by_fingerprints(codes, order, rows, groups,
+                                          reached)
+    return (order + 1).tolist()
+
+
+def test_pal_suffix_sort_matches_oracle_on_small_texts():
+    # random texts, (a^k b)*, periodic words, Fibonacci windows and byte
+    # texts of mirrored runs; phase 2 also runs alone and after 2 columns
+    rng = random.Random(61)
+    for i in range(2000):
+        t = _small_text(rng, i % 5, rng.randint(0, 16))
+        want = oracle.suffix_order_naive(t)
+        ssp_arr = palcore.ssp(t)
+        assert index_mod._pal_suffix_sort(ssp_arr).tolist() == want, t
+        assert _fingerprint_order(ssp_arr, 0) == want, t
+        assert _fingerprint_order(ssp_arr, 2) == want, t
+
+
+@pytest.mark.parametrize("text", [
+    "a" * 150, "ab" * 90, _fibonacci(500),
+    _mirrored_bytes(random.Random(67), 1200, 255),
+    _mirrored_bytes(random.Random(71), 900, 7)],
+    ids=["a^150", "(ab)^90", "fibonacci-500", "mirrored-255x1200",
+         "mirrored-7x900"])
+def test_pal_suffix_sort_on_mid_size_repetitive_texts(text):
+    want = oracle.suffix_order_naive(text)
+    ssp_arr = palcore.ssp(text)
+    assert index_mod._pal_suffix_sort(ssp_arr).tolist() == want
+    assert _fingerprint_order(ssp_arr, 0) == want
+    assert _fingerprint_order(ssp_arr, 9) == want
 
 
 def test_interval_helpers():
@@ -282,6 +366,20 @@ def test_verify_names_relabeled_rows(fix):
     res = bad.verify(T)
     assert not res.ok
     assert res.violation == "fl-content"
+
+
+def test_verify_names_unsorted_rows(monkeypatch):
+    # rows 2 and 3 of T swapped keep an LF walk that meets the swapped
+    # starts, so only the sorted-order check can tell
+    swapped = _swapped_sort((2, 3))
+    monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
+    sa = swapped(palcore.ssp(T))
+    k, codes = index_mod._pi_codes(T)
+    bad, starts = index_mod._assemble(len(T), 2, k, codes[sa], codes[sa - 1])
+    assert starts.tolist() == sa.tolist()
+    res = bad.verify(T)
+    assert not res.ok
+    assert res.violation == "sorted-order"
 
 
 def test_verify_names_bad_samples(fix):

@@ -60,6 +60,15 @@ def test_naive_search_positions_are_pal_matches():
         assert oracle.pal_match(t[s - 1:s - 1 + len(p)], p)
 
 
+def test_suffix_order_naive_fixture():
+    assert oracle.suffix_order_naive("abbabbcbc") == [10, 9, 2, 5, 8, 1, 4,
+                                                      7, 3, 6]
+    assert oracle.suffix_order_naive("aaa") == [4, 3, 2, 1]
+    assert oracle.suffix_order_naive("") == [1]
+
+
 def test_size_guard():
     with pytest.raises(ValueError):
         oracle.ssp_naive("a" * (oracle.SIZE_LIMIT + 1))
+    with pytest.raises(ValueError):
+        oracle.suffix_order_naive("a" * (oracle.SIZE_LIMIT + 1))
