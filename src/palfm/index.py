@@ -214,7 +214,7 @@ class _Windows:
             at = self.keys % (n + 1)
             self.lower = np.searchsorted(self.keys,
                                          np.arange(n + 1) * (n + 1))
-        # numpy.random would cost megabytes of code pages; this is free
+        # numpy.random would map megabytes of extension code into build
         rng = random.SystemRandom()
         self.mods = []
         for m in _MODULI:
