@@ -23,7 +23,6 @@ index i-1.
 
 import random
 import struct
-import time
 import zlib
 from dataclasses import dataclass
 
@@ -98,20 +97,22 @@ class VerifyResult:
     detail: str = ""
 
 
-def _pi_codes(text):
-    """(K, codes): codes[s] is the section code of pi(T[s..]) for s in 1..n
-    (INF as K+1, K the largest group id) and DOLLAR at 0 and n+1, so for
-    the sorted starts sa, F is codes[sa] and L is codes[sa - 1]."""
+def _encode(text):
+    """(ssp(T), K, codes) from one palcore._profile pass over the reversed
+    text.  codes[s] is the section code of pi(T[s..]) for s in 1..n (INF
+    as K+1, K the largest group id) and DOLLAR at 0 and n+1, so for the
+    sorted starts sa, F is codes[sa] and L is codes[sa - 1]."""
     n = len(text)
     codes = np.zeros(n + 2, dtype=np.int64)
     if not n:
-        return 0, codes
+        return [], 0, codes
+    _, ssp_arr, groups, _ = palcore._profile(text[::-1])
     # pi(T[s..]) is sspg of the reversed text at n-s
-    pi_suf = np.array(palcore.sspg(text[::-1])[::-1], dtype=np.float64)
+    pi_suf = np.array(groups[::-1], dtype=np.float64)
     inf = np.isinf(pi_suf)
     k = int(pi_suf[~inf].max()) if not inf.all() else 0
     codes[1:n + 1] = np.where(inf, k + 1, pi_suf)
-    return k, codes
+    return ssp_arr, k, codes
 
 
 # -- the pal-suffix sort -------------------------------------------------
@@ -628,7 +629,7 @@ class PalFMIndex:
             return VerifyResult(False, "definitional-lf",
                                 "text length %d does not match n = %d"
                                 % (len(text), self.n))
-        ssp_arr = palcore.ssp(text)
+        ssp_arr, k, pi_codes = _encode(text)
         sa = _pal_suffix_sort(ssp_arr)
         # row_of[s]: the row of start s; row 1 is LF of the row of start 1
         row_of = np.ones(rows + 1, dtype=np.int64)
@@ -641,7 +642,6 @@ class PalFMIndex:
                                 "row %d: LF is %d, definition gives %d"
                                 % (i + 1, self.lf_values[i], want[i]))
 
-        k, pi_codes = _pi_codes(text)
         differ = np.flatnonzero((fc != pi_codes[sa])
                                 | (lc != pi_codes[sa - 1]) | (k != self.K))
         if differ.size:
@@ -740,7 +740,7 @@ def build(text, delta=32, force=False):
                          "(%d; a loaded index takes about 145 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
-    ssp_arr = palcore.ssp(text)
+    ssp_arr, k_max, pi_codes = _encode(text)
     sa = _pal_suffix_sort(ssp_arr)
     bad = _first_unsorted(ssp_arr, sa, exact=False)
     if bad >= 0:
@@ -749,7 +749,6 @@ def build(text, delta=32, force=False):
                              % (bad + 1, bad + 2))
     # held through assembly, the list would raise build's memory peak
     del ssp_arr
-    k_max, pi_codes = _pi_codes(text)
     # the LF walk over the codes must find the sorted starts again
     try:
         idx, starts = _assemble(n, delta, k_max, pi_codes[sa],
@@ -851,10 +850,3 @@ def deserialize(data):
         raise IndexFormatError("mark or sample section differs from the "
                                "sampling the LF walk derives")
     return idx
-
-
-def build_timed(text, delta=32, force=False):
-    """(index, seconds) pair; convenience for reporting build cost."""
-    t0 = time.perf_counter()
-    idx = build(text, delta=delta, force=force)
-    return idx, time.perf_counter() - t0

@@ -7,6 +7,11 @@ shortest non-trivial suffix-palindrome, and sspg renames those lengths by
 small group identifiers so that appending a character changes at most one
 entry.  Everything in this module runs in O(n).
 
+_profile derives ssp, sspg and the group counts of a string, and ssp of its
+reversal, from one Manacher pass.  sspg, group_counts, pattern_preprocess
+and the index's text encoder all read it; ssp, lpal and lpal_second sweep
+their own pass, and the oracle module stays the independent reference.
+
 Positions are 1-based throughout; a returned list r holds the value for
 position i at r[i-1].  INF marks "no such palindrome" and compares above
 every finite length.  Inputs may be str, bytes, or any indexable sequence
@@ -67,10 +72,10 @@ def _end_positions(lens):
     j = (t + L - 1) // 2; the formula also covers L = 0 (the empty palindrome
     between two positions), whose end is the position on its left.
     """
-    return [(t + lens[t - 2] - 1) // 2 for t in range(2, len(lens) + 2)]
+    return [(t + ln - 1) >> 1 for t, ln in enumerate(lens, 2)]
 
 
-def _suffix_pal_sweep(w, lens=None):
+def _suffix_pal_sweep(w):
     """(lpal, lpal_second) for w in one left-to-right sweep.
 
     A suffix-palindrome of w[..i] with start a corresponds to center
@@ -81,9 +86,7 @@ def _suffix_pal_sweep(w, lens=None):
     floor i+1 only grows.
     """
     n = len(w)
-    if lens is None:
-        lens = maximal_palindromes(w)
-    ends = _end_positions(lens)
+    ends = _end_positions(maximal_palindromes(w))
     first = [0] * n
     second = [0] * n
     t1 = 2
@@ -127,20 +130,7 @@ def ssp(w):
     position i - lpal[i] + lpal_second[i], where the same short
     suffix-palindromes end again.
     """
-    return _ssp_from(*_suffix_pal_sweep(w))
-
-
-def _ssp_from(lp, lp2):
-    n = len(lp)
-    res = [0] * n
-    for i in range(1, n + 1):
-        if lp[i - 1] == 1:
-            res[i - 1] = INF
-        elif lp2[i - 1] <= 1:
-            res[i - 1] = lp[i - 1]
-        else:
-            res[i - 1] = res[i - 1 - lp[i - 1] + lp2[i - 1]]
-    return res
+    return _ssp_sweep(_end_positions(maximal_palindromes(w)), len(w))
 
 
 def spp(w):
@@ -150,22 +140,6 @@ def spp(w):
     reversal: spp(w)[i-1] = ssp(reverse(w))[n-i].
     """
     return ssp(w[::-1])[::-1]
-
-
-def _rep_buckets(w, lens):
-    """Maximal palindromes bucketed by end position as start indices.
-
-    buckets[j] lists the 1-based starts i of maximal palindromes w[i..j]
-    (i = j+1 for the empty palindrome ending at j).  Each center lands in
-    exactly one bucket.
-    """
-    n = len(w)
-    buckets = [[] for _ in range(n + 1)]
-    for t in range(2, 2 * n + 1):
-        L = lens[t - 2]
-        j = (t + L - 1) // 2
-        buckets[j].append(j - L + 1)
-    return buckets
 
 
 def group_counts(w):
@@ -181,26 +155,7 @@ def group_counts(w):
     suffix-palindromes sit at the text boundary; the empty suffix (whose
     center 2n+1 is outside the maximal-palindrome range) is added directly.
     """
-    n = len(w)
-    if n == 0:
-        return []
-    lens = maximal_palindromes(w)
-    return _group_counts_from(n, lpal(w), spp(w), _rep_buckets(w, lens))
-
-
-def _group_counts_from(n, lp, sp, buckets):
-    out = [0] * n
-    for j in range(1, n + 1):
-        c = 0
-        if j < n and lp[j] > 1:
-            c += 1
-        for i in buckets[j]:
-            if i >= 2 and sp[i - 2] > j - i + 2:
-                c += 1
-        if j == n:
-            c += 1
-        out[j - 1] = c
-    return out
+    return _profile(w)[3]
 
 
 def sspg(w):
@@ -214,26 +169,46 @@ def sspg(w):
     palindromes w[a..i-1] passing the same representative test as in
     group_counts plus the length cut i-1-a+1 < ssp[i]-1.
     """
+    return _profile(w)[2]
+
+
+def _profile(w):
+    """(ssp(w), ssp(reverse(w)), sspg(w), group_counts(w)) in fused passes:
+
+    - One Manacher pass over w.  Reversing mirrors the centers, so the
+      maximal palindromes of reverse(w) are those of w read backwards.
+    - One _ssp_sweep per direction.
+    - One pass over the maximal palindromes of w applies the
+      representative test of group_counts once; each representative adds
+      to the group count at its end and, when it is shorter than the
+      bound sspg uses one position later, to that sspg identifier.
+
+    The group keyed by the upcoming character exists iff w has a
+    non-trivial suffix-palindrome there, i.e. iff ssp is finite.
+    """
     n = len(w)
     if n == 0:
-        return []
+        return [], [], [], []
     lens = maximal_palindromes(w)
-    return _sspg_from(n, ssp(w), spp(w), _rep_buckets(w, lens))
-
-
-def _sspg_from(n, s, sp, buckets):
-    out = [INF] * n
-    for i in range(2, n + 1):
-        if s[i - 1] == INF:
-            continue
-        j = i - 1
-        c = 1
-        cut = s[i - 1] - 1
-        for a in buckets[j]:
-            if a >= 2 and sp[a - 2] > j - a + 2 and j - a + 1 < cut:
-                c += 1
-        out[i - 1] = c
-    return out
+    ends = _end_positions(lens)
+    s = _ssp_sweep(ends, n)
+    # a palindrome w[a..j] is reverse(w)[n+1-j..n+1-a], so the reversed
+    # string's centers come in reverse order, and sp[n+1-a] is spp of w
+    # at position a-1
+    sp = _ssp_sweep([n - j + ln for j, ln in zip(reversed(ends),
+                                                 reversed(lens))], n)
+    reps = [0] * (n + 1)
+    below = [0] * (n + 1)
+    for j, ln in zip(ends, lens):
+        a = j - ln + 1
+        if a >= 2 and sp[n + 1 - a] > ln + 1:
+            reps[j] += 1
+            if j < n and ln + 1 < s[j]:
+                below[j] += 1
+    groups = [INF if v == INF else b + 1 for v, b in zip(s, below)]
+    counts = [(v != INF) + c for v, c in zip(s[1:], reps[1:n])]
+    counts.append(reps[n] + 1)
+    return s, sp, groups, counts
 
 
 def pi(w):
@@ -258,49 +233,23 @@ class PatternProfile:
 
 
 def pattern_preprocess(p):
-    """PatternProfile for pattern p from sspg and group counts of the
-    reversed pattern r, computed in fused passes:
+    """PatternProfile for pattern p, read backwards off _profile of the
+    reversed pattern r: one Manacher pass for the whole pattern.
 
-    - One Manacher pass over r.  Reversing mirrors the centers, so the
-      maximal palindromes of p are those of r read backwards.
-    - One sweep per direction gives ssp of r and ssp of p (spp of r read
-      backwards), each applying the ssp recurrence as it goes.
-    - One pass over the maximal palindromes of r applies the
-      representative test of group_counts once; each representative adds
-      to the group count at its end and, when it is shorter than the
-      bound sspg uses one position later, to that sspg identifier.
-
-    The suffix-palindrome group keyed by the upcoming character exists iff
-    r has a non-trivial suffix-palindrome there, i.e. iff ssp is finite.
+    pi(P[i..]) is sspg of r at position m+1-i, and the prefix-palindrome
+    groups of P[i+1..] are the suffix-palindrome groups of r[..m-i].
     """
     m = len(p)
     if m == 0:
         raise ValueError("empty pattern")
-    r = p[::-1]
-    lens = maximal_palindromes(r)
-    ends = [(t + ln - 1) >> 1 for t, ln in enumerate(lens, 2)]
-    s = _ssp_sweep(ends, m)
-    # a palindrome r[a..j] is p[m+1-j..m+1-a], so p's centers come in
-    # reverse order, and sp[m+1-a] is spp of r at position a-1
-    sp = _ssp_sweep([m - j + ln for j, ln in zip(reversed(ends),
-                                                 reversed(lens))], m)
-    reps = [0] * (m + 1)
-    below = [0] * (m + 1)
-    for j, ln in zip(ends, lens):
-        a = j - ln + 1
-        if a >= 2 and sp[m + 1 - a] > ln + 1:
-            reps[j] += 1
-            if j < m and ln + 1 < s[j]:
-                below[j] += 1
-    pi_arr = tuple(INF if s[q] == INF else below[q] + 1
-                   for q in range(m - 1, -1, -1))
-    g_arr = tuple((s[q] != INF) + reps[q] for q in range(m - 1, 0, -1))
-    return PatternProfile(pi_arr=pi_arr, g_arr=g_arr + (0,))
+    _, _, groups, counts = _profile(p[::-1])
+    return PatternProfile(pi_arr=tuple(reversed(groups)),
+                          g_arr=tuple(reversed(counts[:-1])) + (0,))
 
 
 def _ssp_sweep(ends, n):
     """ssp of a length-n string from the end positions of its maximal
-    palindromes: the frontiers of _suffix_pal_sweep with the _ssp_from
+    palindromes: the frontiers of _suffix_pal_sweep with the ssp
     recurrence applied at each position.
 
     The second frontier only matters where the longest suffix-palindrome

@@ -314,6 +314,24 @@ def test_verify_accepts_clean_index(fix):
     assert res.violation == ""
 
 
+def test_build_and_verify_run_one_manacher_pass(monkeypatch):
+    # ssp for the sort and pi for the F and L codes share one pass
+    calls = []
+    manacher = palcore.maximal_palindromes
+
+    def counted(w):
+        calls.append(len(w))
+        return manacher(w)
+
+    monkeypatch.setattr(palcore, "maximal_palindromes", counted)
+    text = _fibonacci(300)
+    idx = build(text, delta=4)
+    assert calls == [300]
+    calls.clear()
+    assert idx.verify(text).ok
+    assert calls == [300]
+
+
 def _copy(idx):
     return deserialize(serialize(idx))
 
@@ -374,7 +392,7 @@ def test_verify_names_unsorted_rows(monkeypatch):
     swapped = _swapped_sort((2, 3))
     monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
     sa = swapped(palcore.ssp(T))
-    k, codes = index_mod._pi_codes(T)
+    _, k, codes = index_mod._encode(T)
     bad, starts = index_mod._assemble(len(T), 2, k, codes[sa], codes[sa - 1])
     assert starts.tolist() == sa.tolist()
     res = bad.verify(T)

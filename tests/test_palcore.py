@@ -102,11 +102,28 @@ def test_group_count_fixtures():
     assert palcore.group_counts("ba") == [1, 2]
 
 
+def _random_abc(rng):
+    return "".join(rng.choice("abc") for _ in range(rng.randint(1, 50)))
+
+
+def _fibonacci_word(n):
+    fib, prev = "a", "b"
+    while len(fib) < n:
+        fib, prev = fib + prev, fib
+    return fib[:n]
+
+
+# a^m, (ab)^m and Fibonacci windows: long runs of nested palindromes,
+# where the group representatives pile up at few end positions
+_REPETITIVE = [w for m in (1, 2, 3, 5, 8, 13, 30, 60)
+               for w in ("a" * m, ("ab" * m)[:m],
+                         _fibonacci_word(200)[m:2 * m],
+                         _fibonacci_word(200)[3 * m:3 * m + 60])]
+
+
 def test_group_counts_match_oracle():
     rng = random.Random(17)
-    for _ in range(300):
-        n = rng.randint(1, 50)
-        w = "".join(rng.choice("abc") for _ in range(n))
+    for w in [_random_abc(rng) for _ in range(300)] + _REPETITIVE:
         got = palcore.group_counts(w)
         per_prefix = oracle.groups_naive(w)
         assert got == [len(groups) for groups, _ in per_prefix]
@@ -121,10 +138,8 @@ def test_group_identifier_fixtures():
 
 def test_group_identifiers_match_oracle():
     rng = random.Random(19)
-    for _ in range(300):
-        n = rng.randint(1, 50)
-        w = "".join(rng.choice("abc") for _ in range(n))
-        assert palcore.sspg(w) == oracle.sspg_naive(w)
+    for w in [_random_abc(rng) for _ in range(300)] + _REPETITIVE:
+        assert palcore.sspg(w) == oracle.sspg_naive(w), w
 
 
 def test_prepending_changes_at_most_one_position():

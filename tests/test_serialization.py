@@ -1,5 +1,6 @@
 """On-disk image format: round trips, corruption detection, error types."""
 
+import hashlib
 import random
 import struct
 import zlib
@@ -53,6 +54,79 @@ def test_round_trip_preserves_queries():
         assert back.count(p) == idx.count(p)
         assert back.locate(p) == idx.locate(p)
     assert back.verify("abbabbcbc").ok
+
+
+def _fibonacci(n):
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+_DIGEST_TEXTS = {
+    "abbabbcbc": "abbabbcbc",
+    "aaaaabbbbb": "aaaaabbbbb",
+    "abcabcabc": "abcabcabc",
+    "a^300": "a" * 300,
+    "(ab)^150": "ab" * 150,
+    "fibonacci-400": _fibonacci(400),
+    "random-s2-2000": _random_text(random.Random(2), 2000, sigma=2),
+    "random-s3-2000": _random_text(random.Random(3), 2000, sigma=3),
+}
+
+# SHA-256 of serialize(build(text, delta)) for delta = 1, 2, 7, 32, each
+# clamped to the text length as the CLI does: an encoder or sort change
+# that moves any of these changes the on-disk images
+_FROZEN_DIGESTS = {
+    "abbabbcbc": (
+        "dcb9cec76b783c606c911e4679fcbfa974fd3573bd2daa91bc7e37651a9ba0aa",
+        "5382f5a731dcde79d7b9ad9d1ef3a169e3131512859967120a8a3127a3de28c1",
+        "b3ec834137627e1475df759afe4ad6617d897b1eafca02b4b1c2afe31d573e4a",
+        "53689353d14edbae96647f572f9bfcd930450f8ad0e07ed64e644f5f91c642db"),
+    "aaaaabbbbb": (
+        "656433ab20d2bce42df0a3db860eeea0f81fb3eefba4d2abc8f29ab71874649e",
+        "5630f1b37acc131e3afef2c5294ac5beb3cd445164fb98967f3a7e477c089e39",
+        "c0326bb93986ccd3385ca602f446eb3a86a9d37ff34b88f8ca1ca7498b4bd9e7",
+        "f1618569868a57665b0c511ce0ca7660e7d9cd4cb0afa703df354dafe189d948"),
+    "abcabcabc": (
+        "0956b801caf0374b58d397ee3f72fd57076406f99b14ee75d172bf9182141f67",
+        "0b28278ef5cda10698312674c68768ced30a4ca50af5c7ba823a6eba482b17b7",
+        "23d219b16544bf008ac0cb76cdd4edbbc0d1f5bb338b514892887ffb02d75559",
+        "ae3ecff577ae6f143dca9fb705d3d883f14d032c1bdb255344019a7bd36d2317"),
+    "a^300": (
+        "ac67c6c9cde5f68727cb51fed57ee1c42bd3458cb6252f31e2ed41474c6bced7",
+        "6fa69753325ca1fcca7e2eae758bf1e8ffa198b29ff94a4afd039b608eeb24a7",
+        "fd22fe886f70e7ad8c81c4466ddb6026848d63804b9ca8722280129dd6b89d3f",
+        "aa44236508c6fd3a71f043a8dcc5edc7224b3717f23809fd769e85432e422090"),
+    "(ab)^150": (
+        "4f179a4fcb8a76203a9411e1251aa7578ece819194dacf47c3c5bf89cadf541b",
+        "42249a6136db130ec9480fefff78f7828eb85883c9542e9b8aaff83c67464f88",
+        "8a12be5c81baac3d1764e3e6b718ddbbbb8bc0f4e52d13950b02368ecbff5e13",
+        "255f4a4982efb4c81d23bfff386bc28821fd6495569d610a2ca4f9fdb1811fd8"),
+    "fibonacci-400": (
+        "ec5293f38227d81d532f22565c9ca0de222b9ce0f72c2d3b79be7b04b0de6339",
+        "459895073bd002a18ea5a153f149dc47b4b8f7918cc67480cd1990fc1f3aed02",
+        "5e9c27129b9a31d57e71cd6ada77fe36af3d0e1be88b9706d185b5d61a16fc8a",
+        "4bac7df77c541fc6d9fdaf6d7d5b2e409cba32e42420feb37e1a672682f3f577"),
+    "random-s2-2000": (
+        "c9d6d7b436749af42d3b979df4ffef7006d5c0fd27c862613d63b8eacb084bd9",
+        "59e37560532f36635cd259b06cbeceab393620fd8349e7fa9da2738fb83cd970",
+        "4ade793d96275e53860aa3a90a59aae9f9621d470001c85bb0cb138cbdf550a1",
+        "fa7f160661c978ff7be815d5e2a4f3565e8f78f84b2bdd311ee93ca50219e416"),
+    "random-s3-2000": (
+        "f48b97976ce23ee049fd510a719ea3233403a84343a4d1d4759b7f9407f9dfef",
+        "110a329497b72a89968c5c035a16db32eaf188838dcdd4b52fbb276f7d3f0b3b",
+        "0875161d1993f5861cf9db70e80d62fe360337032339f72a8acfa44e7ebf0707",
+        "e1bf93310daeab3dfeb9d5a9c1f1addf71760bd3dfcb9b8ebd852075d1642460"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_TEXTS))
+def test_images_match_frozen_digests(name):
+    t = _DIGEST_TEXTS[name]
+    for delta, want in zip((1, 2, 7, 32), _FROZEN_DIGESTS[name]):
+        img = serialize(build(t, delta=min(delta, len(t))))
+        assert hashlib.sha256(img).hexdigest() == want, (name, delta)
 
 
 def test_image_layout_starts_with_magic_and_version():
