@@ -23,6 +23,7 @@ index i-1.
 
 import random
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -43,7 +44,8 @@ _SEC_MARKS = 3
 _SEC_SAMPLES = 4
 
 # larger texts need force=True / --force-large: a loaded index holds about
-# 145 times its image (Python lists of the rank, select and RMQ tables)
+# 60 times its image (Python lists of the codes, LF, the range-maximum
+# blocks, the sampling and the rank/select tables its queries build)
 BUILD_GUARD = 50_000
 
 
@@ -566,8 +568,9 @@ class PalFMIndex:
     # -- reporting -------------------------------------------------------
 
     def stats(self):
-        """Measured sizes plus the index's headline parameters."""
-        image = serialize(self)
+        """Image section sizes, the bytes each loaded component holds (a
+        table no query has built yet counts 0, and LF, which lf_rmq reads
+        from lf_values, counts once) and the index's headline parameters."""
         rows = self.n + 1
         section_bits = {
             "header": (len(MAGIC) + 4 + 4 + 8 + 8 + 4) * 8,
@@ -577,15 +580,15 @@ class PalFMIndex:
             "sample_values": (12 + 8 * len(self.S)) * 8,
             "checksum": 32,
         }
-        # 64-bit slots held by the rebuilt-on-load structures
-        derived_slots = {
-            "rank_tables": 2 * (self.K + 2) * (rows + 1),
-            "positions": 2 * rows,
-            "lf": rows,
-            "rmq": self.lf_rmq.table_entries(),
-            "samples": len(self.S) + rows + 1,
+        held_bytes = {
+            "F": self.F.held_bytes(),
+            "L": self.L.held_bytes(),
+            "lf_values": sys.getsizeof(self.lf_values),
+            "lf_rmq": self.lf_rmq.held_bytes(),
+            "B": self.B.held_bytes(),
+            "S": sys.getsizeof(self.S),
         }
-        total_bits = len(image) * 8
+        total_bits = sum(section_bits.values())
         return {
             "n": self.n,
             "rows": rows,
@@ -595,7 +598,7 @@ class PalFMIndex:
             "section_bits": section_bits,
             "total_bits": total_bits,
             "bits_per_symbol": total_bits / max(self.n, 1),
-            "derived_bits": {k: v * 64 for k, v in derived_slots.items()},
+            "derived_bits": {k: v * 8 for k, v in held_bytes.items()},
         }
 
     # -- verification ----------------------------------------------------
@@ -737,7 +740,7 @@ def build(text, delta=32, force=False):
         raise ValueError("delta must be in [1..%d]" % max(n, 1))
     if n > BUILD_GUARD and not force:
         raise ValueError("text of %d symbols exceeds the construction guard "
-                         "(%d; a loaded index takes about 145 times its "
+                         "(%d; a loaded index takes about 60 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
     ssp_arr, k_max, pi_codes = _encode(text)

@@ -2,10 +2,12 @@
 
 Desk-scale stand-ins for the succinct structures an FM-index style search
 needs: per-symbol prefix counts and position lists give O(1) rank/select
-and rangeCount over a small integer alphabet, and a sparse table gives O(1)
-range maximum with the leftmost winner on ties.  All of it costs
-O(n log n) bits or less; the index reports measured sizes instead of
-pretending to be entropy-compressed.
+and rangeCount over a small integer alphabet, and per-block running
+maxima plus a sparse table over block maxima give O(1) range maximum
+values.  The prefix counts and the position lists are built on first use,
+so an index holds only the ones its queries read, and the range maximum
+holds about two entries per value; the index reports what each structure
+holds (held_bytes) instead of pretending to be entropy-compressed.
 
 Positions are 1-based, matching the row numbering of the index; rank takes
 i in [0..n] with rank at 0 being 0.
@@ -30,6 +32,8 @@ slower locates).  All tables take their ints from one shared pool, so an
 entry costs a pointer rather than a pointer and an int object.
 """
 
+import sys
+
 import numpy as np
 
 _pool = np.arange(0, dtype=object)  # _pool[v]: the shared int of value v
@@ -39,6 +43,9 @@ def int_list(values):
     """Non-negative integers as a list of ints from the shared pool."""
     global _pool
     idx = np.asarray(values, dtype=np.intp)
+    if idx.size and idx.min() < 0:
+        # numpy would read a negative index from the pool's end
+        raise ValueError("int_list takes non-negative integers")
     if idx.size and idx.max() >= len(_pool):
         _pool = np.arange(int(idx.max()) + 1, dtype=object)
     return _pool[idx].tolist()
@@ -61,6 +68,11 @@ class BitVec:
 
     def __len__(self):
         return len(self._bits)
+
+    def held_bytes(self):
+        """Bytes of the lists held; their ints come from the shared pool."""
+        return sum(map(sys.getsizeof, (self._bits, self._rank1, self._pos,
+                                       *self._pos)))
 
     def bit_at(self, i):
         if not 0 < i <= self._n:
@@ -86,7 +98,9 @@ class CodeSeq:
     """Sequence over codes [0..max_code] with rank, select and rangeCount.
 
     Codes outside the alphabet are legal query arguments for rank and
-    rangeCount and simply never occur.
+    rangeCount and simply never occur.  The prefix counts (rank and
+    rangeCount) and the position lists (select) are each built on first
+    use.
     """
 
     def __init__(self, codes, max_code):
@@ -96,18 +110,27 @@ class CodeSeq:
         if n and not 0 <= arr.min() <= arr.max() <= self._max:
             raise ValueError("code outside [0..max_code]")
         self._codes = int_list(arr)
+        self._cum = self._pos = None
+
+    def _build_cum(self):
         # cum[c][i] = number of codes <= c among the first i entries
-        le = np.zeros(n + 1, dtype=np.int64)
+        arr = np.array(self._codes, dtype=np.int64)
+        le = np.zeros(self._n + 1, dtype=np.int64)
         self._cum = []
         for c in range(self._max + 1):
             np.cumsum(arr <= c, out=le[1:])
             self._cum.append(int_list(le))
+        return self._cum
+
+    def _build_pos(self):
         # a stable sort lists each code's positions in order, code by code
+        arr = np.array(self._codes, dtype=np.int64)
         order = np.argsort(arr, kind="stable") + 1
         ends = np.cumsum(np.bincount(arr, minlength=self._max + 1))
         self._pos = {c: int_list(pos)
                      for c, pos in enumerate(np.split(order, ends[:-1]))
                      if len(pos)}
+        return self._pos
 
     def __len__(self):
         return len(self._codes)
@@ -115,6 +138,16 @@ class CodeSeq:
     @property
     def max_code(self):
         return self._max
+
+    def held_bytes(self):
+        """Bytes of the lists held, 0 for a table not built yet; their
+        ints come from the shared pool."""
+        held = [self._codes]
+        if self._cum is not None:
+            held += [self._cum, *self._cum]
+        if self._pos is not None:
+            held += [self._pos, *self._pos.values()]
+        return sum(map(sys.getsizeof, held))
 
     def code_at(self, i):
         if not 1 <= i <= len(self._codes):
@@ -125,41 +158,31 @@ class CodeSeq:
         """The raw code list (a copy)."""
         return list(self._codes)
 
-    def _le(self, c, i):
-        # codes <= c among first i; c may fall outside the alphabet
-        if c < 0:
-            return 0
-        if c > self._max:
-            c = self._max
-        return self._cum[c][i]
-
     def rank(self, i, c):
         """Occurrences of code c in positions [1..i]."""
-        if not 0 <= i <= len(self._codes):
-            raise QueryRangeError("rank position %r out of range" % (i,))
-        return self._le(c, i) - self._le(c - 1, i)
+        return self.rank_pair(1, i, c)[1]
 
     def rank_pair(self, b, e, c):
         """(rank(b-1, c), rank(e, c)) for 1 <= b <= e+1 <= n+1."""
         if not 0 < b <= e + 1 <= self._n + 1:
             raise QueryRangeError("rank pair [%r..%r] out of range" % (b, e))
-        if not 0 < c <= self._max:
-            return self.rank(b - 1, c), self.rank(e, c)
+        if not 0 <= c <= self._max:
+            return 0, 0
+        cum = self._cum or self._build_cum()
         b -= 1
-        hi = self._cum[c]
-        lo = self._cum[c - 1]
+        hi = cum[c]
+        if not c:
+            return hi[b], hi[e]
+        lo = cum[c - 1]
         return hi[b] - lo[b], hi[e] - lo[e]
 
     def select(self, r, c):
         """Position of the r-th occurrence of code c."""
-        pos = self._pos.get(c, ())
-        if not 1 <= r <= len(pos):
-            raise QueryRangeError("select rank %r out of range" % (r,))
-        return pos[r - 1]
+        return self.select_pair(r, r, c)[0]
 
     def select_pair(self, r1, r2, c):
         """(select(r1, c), select(r2, c)) for 1 <= r1 <= r2 <= rank(n, c)."""
-        pos = self._pos.get(c, ())
+        pos = (self._pos or self._build_pos()).get(c, ())
         if not 0 < r1 <= r2 <= len(pos):
             raise QueryRangeError("select pair %r, %r out of range"
                                   % (r1, r2))
@@ -178,62 +201,67 @@ class CodeSeq:
             hi = self._max
         if lo > hi or hi < 0:
             return 0
+        cum = self._cum or self._build_cum()
         i -= 1
-        row = self._cum[hi]
+        row = cum[hi]
         cnt = row[j] - row[i]
         if lo > 0:
-            row = self._cum[lo - 1]
+            row = cum[lo - 1]
             cnt -= row[j] - row[i]
         return cnt
 
 
 class RmqIndex:
-    """Sparse-table range maximum over a fixed integer array.
+    """Range maximum over a fixed list of non-negative integers.
 
-    rmq(i, j) returns the position of the maximum in [i..j]; on ties the
-    leftmost maximum wins.
+    The list is held by reference, not copied.  Cut into blocks of 32
+    values, each position keeps the running maximum from its block's start
+    (head) and to its block's end (tail), and a sparse table over the
+    block maxima covers the whole blocks between a query's ends.
     """
 
     def __init__(self, values):
-        self._v = list(values)
-        n = self._n = len(self._v)
-        v = np.asarray(self._v)
-        # level k: 0-based position of the leftmost maximum of the 2^k
-        # values from each i on; made a list at once, to keep peaks low
-        level = np.arange(n)
-        self._table = [int_list(level)] if n else []
+        self._v = values
+        n = self._n = len(values)
+        # padding with the last value leaves every tail maximum unchanged
+        blocks = np.pad(np.asarray(values, dtype=np.int64), (0, -n % 32),
+                        mode="edge").reshape(-1, 32)
+        run = np.maximum.accumulate
+        self._head = int_list(run(blocks, axis=1).ravel()[:n])
+        self._tail = int_list(run(blocks[:, ::-1], axis=1)[:, ::-1]
+                              .ravel()[:n])
+        # level k: the maximum of the 2^k block maxima from each block on
+        level = blocks.max(axis=1)
+        self._table = [int_list(level)]
         span = 1
-        while 2 * span <= n:
-            a = level[:n - 2 * span + 1]
-            b = level[span:n - span + 1]
-            level = np.where(v[a] >= v[b], a, b)
+        while 2 * span <= len(blocks):
+            level = np.maximum(level[:-span], level[span:])
             self._table.append(int_list(level))
             span *= 2
 
     def __len__(self):
-        return len(self._v)
+        return self._n
 
-    def table_entries(self):
-        """Number of positions the sparse table stores."""
-        return sum(len(row) for row in self._table)
-
-    def rmq(self, i, j):
-        """1-based position of the leftmost maximum of values[i..j]."""
-        if not 1 <= i <= j <= len(self._v):
-            raise QueryRangeError("rmq range [%r..%r] invalid" % (i, j))
-        k = (j - i + 1).bit_length() - 1
-        a = self._table[k][i - 1]
-        b = self._table[k][j - (1 << k)]
-        # a <= b because the blocks overlap, so >= keeps the leftmost winner
-        return (a if self._v[a] >= self._v[b] else b) + 1
+    def held_bytes(self):
+        """Bytes of the block tables; the values list is the caller's."""
+        return sum(map(sys.getsizeof,
+                       (self._head, self._tail, self._table, *self._table)))
 
     def max_value(self, i, j):
         """Maximum of values[i..j], 1-based and inclusive."""
         if not 0 < i <= j <= self._n:
             raise QueryRangeError("rmq range [%r..%r] invalid" % (i, j))
-        k = (j - i + 1).bit_length() - 1
+        if i == j:
+            return self._v[i - 1]
+        i -= 1
+        # 0-based position p lies in block p >> 5 (blocks of 32)
+        lo = i >> 5
+        hi = (j - 1) >> 5
+        if lo == hi:
+            return max(self._v[i:j])
+        if hi - lo == 1:
+            return max(self._tail[i], self._head[j - 1])
+        k = (hi - lo - 1).bit_length() - 1
         row = self._table[k]
-        v = self._v
-        a = v[row[i - 1]]
-        b = v[row[j - (1 << k)]]
-        return a if a >= b else b
+        return max(self._tail[i], self._head[j - 1], row[lo + 1],
+                   row[hi - (1 << k)])

@@ -408,16 +408,24 @@ def test_verify_names_bad_samples(fix):
     assert res.violation == "sampling"
 
 
-def test_stats_reports_sizes(fix):
-    st = fix.stats()
+def test_stats_reports_sizes():
+    idx = build(T, delta=2)
+    st = idx.stats()
     assert st["n"] == 9
     assert st["rows"] == 10
     assert st["delta"] == 2
     assert st["K"] == 2
     assert st["samples"] == 5
     assert st["total_bits"] == sum(st["section_bits"].values())
+    assert st["total_bits"] == len(serialize(idx)) * 8
     assert st["bits_per_symbol"] == pytest.approx(st["total_bits"] / 9)
     assert all(v > 0 for v in st["derived_bits"].values())
+    # F's rank directories exist only once a query builds them
+    idx.F.rank(3, 1)
+    grown = idx.stats()["derived_bits"]
+    assert grown["F"] > st["derived_bits"]["F"]
+    assert {k: v for k, v in grown.items() if k != "F"} \
+        == {k: v for k, v in st["derived_bits"].items() if k != "F"}
 
 
 def test_bytes_and_str_agree():

@@ -56,6 +56,23 @@ def test_round_trip_preserves_queries():
     assert back.verify("abbabbcbc").ok
 
 
+def test_loaded_index_builds_only_the_tables_queries_read():
+    t = _random_text(random.Random(67), 300)
+    idx = deserialize(serialize(build(t, delta=4)))
+    idx.count(t[10:14])
+    idx.locate(t[20:23])
+    assert idx.F._cum is None
+    assert idx.L._pos is None
+    assert idx.lf_rmq._v is idx.lf_values
+    # built on first use, the tables answer as the codes say
+    f, l = idx.F.codes(), idx.L.codes()
+    for c in range(idx.K + 2):
+        assert [idx.F.rank(i, c) for i in range(len(f) + 1)] \
+            == [f[:i].count(c) for i in range(len(f) + 1)]
+        assert [idx.L.select(r, c) for r in range(1, l.count(c) + 1)] \
+            == [i + 1 for i, x in enumerate(l) if x == c]
+
+
 def _fibonacci(n):
     a, b = "a", "ab"
     while len(b) < n:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from palfm.succinct import BitVec, CodeSeq, QueryRangeError, RmqIndex
+from palfm.succinct import (BitVec, CodeSeq, QueryRangeError, RmqIndex,
+                            int_list)
 
 
 def test_bitvec_rank_select_inverse():
@@ -120,30 +121,32 @@ def test_codeseq_codes_returns_a_copy():
 
 def test_rmq_matches_linear_scan():
     rng = random.Random(43)
-    for _ in range(80):
-        n = rng.randint(1, 60)
-        v = [rng.randint(0, 30) for _ in range(n)]
-        rm = RmqIndex(v)
-        for _ in range(40):
-            i = rng.randint(1, n)
-            j = rng.randint(i, n)
-            p = rm.rmq(i, j)
-            best = max(v[i - 1:j])
-            assert v[p - 1] == best
-            assert rm.max_value(i, j) == best
-            assert all(v[q - 1] < best for q in range(i, p))
-
-
-def test_rmq_ties_go_left():
-    assert RmqIndex([5, 5, 5, 5]).rmq(2, 4) == 2
+    # n up to 60 stays within two 32-value blocks; n of 300..700 reaches
+    # the sparse table's upper levels, with values drawn from [0..10n] so
+    # that a wrong block seldom shares the true maximum
+    for lo, hi, runs in ((1, 60, 80), (300, 700, 10)):
+        for _ in range(runs):
+            n = rng.randint(lo, hi)
+            top = 30 if n <= 60 else 10 * n
+            v = [rng.randint(0, top) for _ in range(n)]
+            rm = RmqIndex(v)
+            for _ in range(200):
+                i = rng.randint(1, n)
+                j = rng.randint(i, n)
+                assert rm.max_value(i, j) == max(v[i - 1:j])
 
 
 def test_rmq_errors():
     rm = RmqIndex([1, 2])
-    for query in (rm.rmq, rm.max_value):
+    for i, j in ((2, 1), (0, 1), (1, 3)):
         with pytest.raises(QueryRangeError):
-            query(2, 1)
-        with pytest.raises(QueryRangeError):
-            query(0, 1)
-        with pytest.raises(QueryRangeError):
-            query(1, 3)
+            rm.max_value(i, j)
+
+
+def test_int_list_rejects_negative_values():
+    assert int_list([3, 0, 2]) == [3, 0, 2]
+    with pytest.raises(ValueError):
+        int_list([3, -1, -2])
+    with pytest.raises(ValueError):
+        RmqIndex([4, -1])
+
