@@ -31,7 +31,7 @@ import numpy as np
 
 from . import palcore
 from .palcore import INF
-from .succinct import BitVec, CodeSeq, RmqIndex, int_list
+from .succinct import BitVec, CodeSeq, RmqIndex, int_list, pool_bytes
 
 DOLLAR = 0
 
@@ -44,8 +44,9 @@ _SEC_MARKS = 3
 _SEC_SAMPLES = 4
 
 # larger texts need force=True / --force-large: a loaded index holds about
-# 60 times its image (Python lists of the codes, LF, the range-maximum
-# blocks, the sampling and the rank/select tables its queries build)
+# 55 times its image (Python lists of LF, the range-maximum blocks, the
+# sampling and the rank/select tables its queries build, and the F and L
+# codes as bytes)
 BUILD_GUARD = 50_000
 
 
@@ -570,7 +571,9 @@ class PalFMIndex:
     def stats(self):
         """Image section sizes, the bytes each loaded component holds (a
         table no query has built yet counts 0, and LF, which lf_rmq reads
-        from lf_values, counts once) and the index's headline parameters."""
+        from lf_values, counts once), the bytes of the int pool that the
+        components' lists share with every other index in the process, and
+        the index's headline parameters."""
         rows = self.n + 1
         section_bits = {
             "header": (len(MAGIC) + 4 + 4 + 8 + 8 + 4) * 8,
@@ -599,6 +602,7 @@ class PalFMIndex:
             "total_bits": total_bits,
             "bits_per_symbol": total_bits / max(self.n, 1),
             "derived_bits": {k: v * 8 for k, v in held_bytes.items()},
+            "shared_pool_bits": pool_bytes() * 8,
         }
 
     # -- verification ----------------------------------------------------
@@ -611,8 +615,7 @@ class PalFMIndex:
         component is named rather than drowned in downstream noise.
         """
         rows = self.n + 1
-        fc = np.array(self.F.codes())
-        lc = np.array(self.L.codes())
+        fc, lc = (np.frombuffer(c._codes, np.uint8) for c in (self.F, self.L))
 
         bad = _code_mismatch(fc, lc, self.K)
         if bad:
@@ -686,14 +689,17 @@ def _code_mismatch(fcodes, lcodes, k):
 
 
 def _assemble(n, delta, k, fcodes, lcodes):
-    """(index, starts) for F and L code rows, int arrays of n+1 codes in
-    [0..k+1]; starts[r-1] is the suffix start of row r.
+    """(index, starts) for F and L code rows, int arrays or bytes of n+1
+    codes in [0..k+1]; starts[r-1] is the suffix start of row r.  Rows
+    given as bytes become F's and L's codes as they are.
 
     The r-th occurrence of a code in L maps to its r-th occurrence in F,
     which gives LF; walking LF from row 1 (the empty suffix) must meet
     every row once, at the starts n+1, n, ..., 1, which fix the sampling.
     Raises IndexFormatError when the codes allow no such walk.
     """
+    F, L = CodeSeq(fcodes, k + 1), CodeSeq(lcodes, k + 1)
+    fcodes, lcodes = (np.frombuffer(c._codes, np.uint8) for c in (F, L))
     bad = _code_mismatch(fcodes, lcodes, k)
     if bad:
         raise IndexFormatError(bad[1])
@@ -716,8 +722,7 @@ def _assemble(n, delta, k, fcodes, lcodes):
     marked = (starts - 1) % delta == 0
     idx = PalFMIndex(
         n=n, delta=delta, K=k,
-        F=CodeSeq(fcodes, k + 1),
-        L=CodeSeq(lcodes, k + 1),
+        F=F, L=L,
         lf_values=lf_values,
         lf_rmq=RmqIndex(lf_values),
         B=BitVec(marked),
@@ -740,7 +745,7 @@ def build(text, delta=32, force=False):
         raise ValueError("delta must be in [1..%d]" % max(n, 1))
     if n > BUILD_GUARD and not force:
         raise ValueError("text of %d symbols exceeds the construction guard "
-                         "(%d; a loaded index takes about 60 times its "
+                         "(%d; a loaded index takes about 55 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
     ssp_arr, k_max, pi_codes = _encode(text)
@@ -767,27 +772,23 @@ def build(text, delta=32, force=False):
 # -- persistence ---------------------------------------------------------
 
 
-def _sampling_payloads(idx):
-    """(mark section, sample section) payloads for idx's sampling."""
-    rows = idx.n + 1
-    marked = np.zeros(rows, dtype=bool)
-    marked[[idx.B.select(r, 1) - 1
-            for r in range(1, idx.B.rank(rows, 1) + 1)]] = True
+def _sampling_payloads(marked, samples):
+    """(mark section, sample section) payloads: the 0/1 row marks packed
+    eight to a byte, and the sample values."""
     return (np.packbits(marked, bitorder="little").tobytes(),
-            np.array(idx.S, dtype="<u8").tobytes())
+            np.asarray(samples, dtype="<u8").tobytes())
 
 
 def serialize(idx):
     """Little-endian image: magic, version, flags, n, delta, K, tagged
-    sections (L codes, F codes, packed marks, sample values), crc32."""
-    if idx.K + 1 > 0xFF:
-        raise ValueError("group alphabet too large for byte-coded sections")
+    sections (L codes, F codes, packed marks, sample values), crc32.
+    The code sections are the bytes F and L hold."""
     head = MAGIC + struct.pack("<II", FORMAT_VERSION, 0)
     head += struct.pack("<QQ", idx.n, idx.delta)
     head += struct.pack("<I", idx.K)
-    marks, samples = _sampling_payloads(idx)
-    sections = [(_SEC_L, bytes(idx.L.codes())),
-                (_SEC_F, bytes(idx.F.codes())),
+    marks, samples = _sampling_payloads(idx.B._bits, idx.S)
+    sections = [(_SEC_L, idx.L._codes),
+                (_SEC_F, idx.F._codes),
                 (_SEC_MARKS, marks),
                 (_SEC_SAMPLES, samples)]
     body = b"".join(struct.pack("<IQ", tag, len(payload)) + payload
@@ -800,8 +801,9 @@ def deserialize(data):
     """Rebuild an index from serialize() output.
 
     LF, the sampling and the succinct tables are derived from F and L, and
-    the stored mark and sample sections must equal the derived ones; bad
-    magic, version, truncation and checksum raise their own error types.
+    the stored mark and sample sections must equal the derived ones.  Each
+    of the four sections must appear exactly once; bad magic, version,
+    truncation and checksum raise their own error types.
     """
     if len(data) < len(MAGIC):
         raise TruncatedError("image shorter than the magic")
@@ -818,7 +820,7 @@ def deserialize(data):
     (k_max,) = struct.unpack_from("<I", data, len(MAGIC) + 24)
     stored = struct.unpack_from("<I", data, len(data) - 4)[0]
     actual = zlib.crc32(data[:-4]) & 0xFFFFFFFF
-    payloads = {}
+    sections = []
     off = fixed
     end = len(data) - 4
     while off < end:
@@ -828,28 +830,32 @@ def deserialize(data):
         off += 12
         if off + length > end:
             raise TruncatedError("section %d runs past the image" % tag)
-        payloads[tag] = data[off:off + length]
+        sections.append((tag, bytes(data[off:off + length])))
         off += length
     if stored != actual:
         raise ChecksumError("checksum mismatch")
+    payloads = dict(sections)
     missing = {_SEC_L, _SEC_F, _SEC_MARKS, _SEC_SAMPLES} - set(payloads)
     if missing:
         raise IndexFormatError("missing sections %s" % sorted(missing))
+    # all four are there, so any further section is unknown or repeated
+    if len(sections) > 4:
+        raise IndexFormatError("unknown or repeated sections")
+    lbytes, fbytes = payloads[_SEC_L], payloads[_SEC_F]
     rows = n + 1
-    if len(payloads[_SEC_L]) != rows or len(payloads[_SEC_F]) != rows:
+    if len(lbytes) != rows or len(fbytes) != rows:
         raise IndexFormatError("code section length does not match n")
-    lcodes = np.frombuffer(payloads[_SEC_L], dtype=np.uint8)
-    fcodes = np.frombuffer(payloads[_SEC_F], dtype=np.uint8)
     # a one-symbol suffix has no prefix-palindrome, so INF (K+1) is the
     # largest code of any text but the empty one, whose K is 0
-    if max(lcodes.max(), fcodes.max()) != (k_max + 1 if n else k_max):
+    if np.frombuffer(lbytes + fbytes, np.uint8).max() != k_max + (n > 0):
         raise IndexFormatError("largest code is not K+1, the INF of the "
                                "declared alphabet")
     if not 1 <= delta <= max(n, 1):
         raise IndexFormatError("delta outside [1..max(n,1)]")
-    idx, _ = _assemble(n, delta, k_max, fcodes, lcodes)
+    idx, starts = _assemble(n, delta, k_max, fbytes, lbytes)
+    marked = (starts - 1) % delta == 0
     if (payloads[_SEC_MARKS], payloads[_SEC_SAMPLES]) \
-            != _sampling_payloads(idx):
+            != _sampling_payloads(marked, starts[marked]):
         raise IndexFormatError("mark or sample section differs from the "
                                "sampling the LF walk derives")
     return idx

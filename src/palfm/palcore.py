@@ -11,6 +11,8 @@ _profile derives ssp, sspg and the group counts of a string, and ssp of its
 reversal, from one Manacher pass.  sspg, group_counts, pattern_preprocess
 and the index's text encoder all read it; ssp, lpal and lpal_second sweep
 their own pass, and the oracle module stays the independent reference.
+Every sweep reads the palindrome lengths of its pass as they are, one
+entry per center.
 
 Positions are 1-based throughout; a returned list r holds the value for
 position i at r[i-1].  INF marks "no such palindrome" and compares above
@@ -65,28 +67,20 @@ def maximal_palindromes(w):
     return res
 
 
-def _end_positions(lens):
-    """ends[t-2] = end position of the maximal palindrome at center t.
-
-    For a palindrome w[i..j] at center t = i+j with length L, the end is
-    j = (t + L - 1) // 2; the formula also covers L = 0 (the empty palindrome
-    between two positions), whose end is the position on its left.
-    """
-    return [(t + ln - 1) >> 1 for t, ln in enumerate(lens, 2)]
-
-
 def _suffix_pal_sweep(w):
     """(lpal, lpal_second) for w in one left-to-right sweep.
 
     A suffix-palindrome of w[..i] with start a corresponds to center
-    t = a + i whose maximal palindrome ends at >= i, so the longest one
+    t = a + i whose maximal palindrome reaches i, so the longest one
     belongs to the smallest such t in [i+1..2i] and the second longest to
-    the next one.  Both frontiers only ever move right: a center dropped
+    the next one.  The maximal palindrome of length L at center t ends at
+    (t + L - 1) // 2 (L = 0 included), so it ends before i exactly when
+    t + L <= 2i.  Both frontiers only ever move right: a center dropped
     for ending before i ends before every later i as well, and the window
     floor i+1 only grows.
     """
     n = len(w)
-    ends = _end_positions(maximal_palindromes(w))
+    lens = maximal_palindromes(w)
     first = [0] * n
     second = [0] * n
     t1 = 2
@@ -94,12 +88,12 @@ def _suffix_pal_sweep(w):
     for i in range(1, n + 1):
         if t1 < i + 1:
             t1 = i + 1
-        while ends[t1 - 2] < i:
+        while t1 + lens[t1 - 2] <= 2 * i:
             t1 += 1
         first[i - 1] = 2 * i + 1 - t1
         if t2 < t1 + 1:
             t2 = t1 + 1
-        while t2 <= 2 * i and ends[t2 - 2] < i:
+        while t2 <= 2 * i and t2 + lens[t2 - 2] <= 2 * i:
             t2 += 1
         # beyond 2i there is no center left; only the empty suffix remains
         second[i - 1] = 2 * i + 1 - t2 if t2 <= 2 * i else 0
@@ -130,7 +124,7 @@ def ssp(w):
     position i - lpal[i] + lpal_second[i], where the same short
     suffix-palindromes end again.
     """
-    return _ssp_sweep(_end_positions(maximal_palindromes(w)), len(w))
+    return _ssp_sweep(maximal_palindromes(w), len(w))
 
 
 def spp(w):
@@ -190,16 +184,16 @@ def _profile(w):
     if n == 0:
         return [], [], [], []
     lens = maximal_palindromes(w)
-    ends = _end_positions(lens)
-    s = _ssp_sweep(ends, n)
+    s = _ssp_sweep(lens, n)
     # a palindrome w[a..j] is reverse(w)[n+1-j..n+1-a], so the reversed
     # string's centers come in reverse order, and sp[n+1-a] is spp of w
     # at position a-1
-    sp = _ssp_sweep([n - j + ln for j, ln in zip(reversed(ends),
-                                                 reversed(lens))], n)
+    sp = _ssp_sweep(lens[::-1], n)
     reps = [0] * (n + 1)
     below = [0] * (n + 1)
-    for j, ln in zip(ends, lens):
+    for t, ln in enumerate(lens, 2):
+        # the maximal palindrome w[a..j] at center t = a + j
+        j = (t + ln - 1) >> 1
         a = j - ln + 1
         if a >= 2 and sp[n + 1 - a] > ln + 1:
             reps[j] += 1
@@ -247,10 +241,10 @@ def pattern_preprocess(p):
                           g_arr=tuple(reversed(counts[:-1])) + (0,))
 
 
-def _ssp_sweep(ends, n):
-    """ssp of a length-n string from the end positions of its maximal
-    palindromes: the frontiers of _suffix_pal_sweep with the ssp
-    recurrence applied at each position.
+def _ssp_sweep(lens, n):
+    """ssp of a length-n string from the lengths of its maximal
+    palindromes (maximal_palindromes): the frontiers of _suffix_pal_sweep
+    with the ssp recurrence applied at each position.
 
     The second frontier only matters where the longest suffix-palindrome
     is non-trivial; it is caught up lazily, which is safe because every
@@ -260,15 +254,15 @@ def _ssp_sweep(ends, n):
     t1 = 2
     t2 = 3
     for i in range(1, n + 1):
+        top = 2 * i
         if t1 <= i:
             t1 = i + 1
-        while ends[t1 - 2] < i:
+        while t1 + lens[t1 - 2] <= top:
             t1 += 1
-        top = 2 * i
         if t1 < top:
             if t2 <= t1:
                 t2 = t1 + 1
-            while t2 < top and ends[t2 - 2] < i:
+            while t2 < top and t2 + lens[t2 - 2] <= top:
                 t2 += 1
             # second longest 2i+1-t2 <= 1: the longest is also the shortest
             out[i - 1] = top + 1 - t1 if t2 >= top else out[i - 1 + t1 - t2]

@@ -2,12 +2,15 @@
 
 Desk-scale stand-ins for the succinct structures an FM-index style search
 needs: per-symbol prefix counts and position lists give O(1) rank/select
-and rangeCount over a small integer alphabet, and per-block running
-maxima plus a sparse table over block maxima give O(1) range maximum
-values.  The prefix counts and the position lists are built on first use,
-so an index holds only the ones its queries read, and the range maximum
-holds about two entries per value; the index reports what each structure
-holds (held_bytes) instead of pretending to be entropy-compressed.
+and rangeCount over a byte alphabet, and per-block running maxima plus a
+sparse table over block maxima give O(1) range maximum values.  A CodeSeq
+holds its codes as bytes, one per position, the same bytes an index
+image stores; its prefix counts and position lists are built on first
+use, so an index holds only the ones its queries read.  A BitVec holds
+its bits and their prefix counts, and selects by binary search over the
+counts.  The range maximum holds about two entries per value.  The index
+reports what each structure holds (held_bytes) and what the shared int
+pool holds (pool_bytes) instead of pretending to be entropy-compressed.
 
 Positions are 1-based, matching the row numbering of the index; rank takes
 i in [0..n] with rank at 0 being 0.
@@ -33,6 +36,7 @@ entry costs a pointer rather than a pointer and an int object.
 """
 
 import sys
+from bisect import bisect_left
 
 import numpy as np
 
@@ -51,28 +55,32 @@ def int_list(values):
     return _pool[idx].tolist()
 
 
+def pool_bytes():
+    """Bytes of the shared int pool: its object array and its ints.  The
+    pool grows to the largest value pooled and is never trimmed."""
+    return sys.getsizeof(_pool) + sum(map(sys.getsizeof, _pool))
+
+
 class QueryRangeError(ValueError):
     """A rank/select/rmq argument is outside the structure's domain."""
 
 
 class BitVec:
-    """Bit sequence with O(1) rank and select for both bit values."""
+    """Bit sequence with O(1) rank and O(log n) select for both bit
+    values."""
 
     def __init__(self, bits):
         ones = np.asarray(bits, dtype=bool)
         self._n = len(ones)
         self._bits = int_list(ones)
         self._rank1 = int_list(np.concatenate(([0], np.cumsum(ones))))
-        self._pos = (int_list(np.flatnonzero(~ones) + 1),
-                     int_list(np.flatnonzero(ones) + 1))
 
     def __len__(self):
         return len(self._bits)
 
     def held_bytes(self):
         """Bytes of the lists held; their ints come from the shared pool."""
-        return sum(map(sys.getsizeof, (self._bits, self._rank1, self._pos,
-                                       *self._pos)))
+        return sum(map(sys.getsizeof, (self._bits, self._rank1)))
 
     def bit_at(self, i):
         if not 0 < i <= self._n:
@@ -87,34 +95,39 @@ class BitVec:
         return ones if b else i - ones
 
     def select(self, r, b):
-        """Position of the r-th occurrence of bit b."""
-        pos = self._pos[1 if b else 0]
-        if not 1 <= r <= len(pos):
+        """Position of the r-th occurrence of bit b: the first position
+        whose rank reaches r."""
+        if not 1 <= r <= self.rank(self._n, b):
             raise QueryRangeError("select rank %r out of range" % (r,))
-        return pos[r - 1]
+        return bisect_left(range(self._n + 1), r,
+                           key=lambda i: self.rank(i, b))
 
 
 class CodeSeq:
     """Sequence over codes [0..max_code] with rank, select and rangeCount.
 
-    Codes outside the alphabet are legal query arguments for rank and
-    rangeCount and simply never occur.  The prefix counts (rank and
-    rangeCount) and the position lists (select) are each built on first
-    use.
+    max_code is at most 255: the codes are held as bytes, and codes given
+    as bytes are held as they are.  Codes outside the alphabet are legal
+    query arguments for rank and rangeCount and simply never occur.  The
+    prefix counts (rank and rangeCount) and the position lists (select)
+    are each built on first use.
     """
 
     def __init__(self, codes, max_code):
-        arr = np.asarray(codes, dtype=np.int64)
+        as_is = isinstance(codes, bytes)
+        arr = np.frombuffer(codes, np.uint8) if as_is else np.asarray(codes)
         self._max = int(max_code)
-        n = self._n = len(arr)
-        if n and not 0 <= arr.min() <= arr.max() <= self._max:
-            raise ValueError("code outside [0..max_code]")
-        self._codes = int_list(arr)
+        self._n = len(arr)
+        if not 0 <= arr.min(initial=0) <= arr.max(initial=0) \
+                <= self._max <= 255:
+            raise ValueError("code outside [0..max_code], or max_code "
+                             "above 255, the largest byte")
+        self._codes = codes if as_is else arr.astype(np.uint8).tobytes()
         self._cum = self._pos = None
 
     def _build_cum(self):
         # cum[c][i] = number of codes <= c among the first i entries
-        arr = np.array(self._codes, dtype=np.int64)
+        arr = np.frombuffer(self._codes, dtype=np.uint8)
         le = np.zeros(self._n + 1, dtype=np.int64)
         self._cum = []
         for c in range(self._max + 1):
@@ -124,7 +137,7 @@ class CodeSeq:
 
     def _build_pos(self):
         # a stable sort lists each code's positions in order, code by code
-        arr = np.array(self._codes, dtype=np.int64)
+        arr = np.frombuffer(self._codes, dtype=np.uint8)
         order = np.argsort(arr, kind="stable") + 1
         ends = np.cumsum(np.bincount(arr, minlength=self._max + 1))
         self._pos = {c: int_list(pos)
@@ -140,8 +153,8 @@ class CodeSeq:
         return self._max
 
     def held_bytes(self):
-        """Bytes of the lists held, 0 for a table not built yet; their
-        ints come from the shared pool."""
+        """Bytes of the codes and of the lists held, 0 for a table not
+        built yet; the lists' ints come from the shared pool."""
         held = [self._codes]
         if self._cum is not None:
             held += [self._cum, *self._cum]

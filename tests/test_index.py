@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -420,6 +421,9 @@ def test_stats_reports_sizes():
     assert st["total_bits"] == len(serialize(idx)) * 8
     assert st["bits_per_symbol"] == pytest.approx(st["total_bits"] / 9)
     assert all(v > 0 for v in st["derived_bits"].values())
+    # the pool holds at least the ints 0..n+1, a pointer and an int each
+    int_bits = (8 + sys.getsizeof(0)) * 8
+    assert st["shared_pool_bits"] >= int_bits * (st["n"] + 2)
     # F's rank directories exist only once a query builds them
     idx.F.rank(3, 1)
     grown = idx.stats()["derived_bits"]

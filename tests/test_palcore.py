@@ -8,6 +8,21 @@ from palfm import oracle, palcore
 from palfm.palcore import INF
 
 
+def _fibonacci_word(n):
+    fib, prev = "a", "b"
+    while len(fib) < n:
+        fib, prev = fib + prev, fib
+    return fib[:n]
+
+
+# a^m, (ab)^m and Fibonacci windows up to m = 200: palindromes that span
+# most of the string, which the sweep frontiers must run across
+_LONG_PALINDROMES = [w for m in (1, 2, 3, 8, 13, 60, 200)
+                     for w in ("a" * m, "ab" * m,
+                               _fibonacci_word(400)[m:2 * m],
+                               _fibonacci_word(600)[200:200 + m])]
+
+
 def test_maximal_palindromes_center_layout():
     # centers 2..2n, character centers at even entries, gaps between
     assert palcore.maximal_palindromes("aba") == [1, 0, 3, 0, 1]
@@ -45,9 +60,10 @@ def test_second_longest_counts_the_empty_suffix():
 
 def test_longest_pair_against_brute_force():
     rng = random.Random(5)
-    for _ in range(300):
-        n = rng.randint(1, 30)
-        w = "".join(rng.choice("ab") for _ in range(n))
+    words = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 30)))
+             for _ in range(300)]
+    for w in words + _LONG_PALINDROMES:
+        n = len(w)
         lp = palcore.lpal(w)
         lp2 = palcore.lpal_second(w)
         for i in range(1, n + 1):
@@ -71,6 +87,8 @@ def test_ssp_matches_oracle_on_random_strings():
         sigma = rng.choice("234")
         w = "".join(rng.choice("abcd"[:int(sigma)]) for _ in range(n))
         assert palcore.ssp(w) == oracle.ssp_naive(w)
+    for w in _LONG_PALINDROMES:
+        assert palcore.ssp(w) == oracle.ssp_naive(w), w
 
 
 def test_ssp_exhaustive_binary():
@@ -104,13 +122,6 @@ def test_group_count_fixtures():
 
 def _random_abc(rng):
     return "".join(rng.choice("abc") for _ in range(rng.randint(1, 50)))
-
-
-def _fibonacci_word(n):
-    fib, prev = "a", "b"
-    while len(fib) < n:
-        fib, prev = fib + prev, fib
-    return fib[:n]
 
 
 # a^m, (ab)^m and Fibonacci windows: long runs of nested palindromes,

@@ -58,12 +58,18 @@ def test_round_trip_preserves_queries():
 
 def test_loaded_index_builds_only_the_tables_queries_read():
     t = _random_text(random.Random(67), 300)
-    idx = deserialize(serialize(build(t, delta=4)))
+    img = serialize(build(t, delta=4))
+    idx = deserialize(img)
     idx.count(t[10:14])
     idx.locate(t[20:23])
     assert idx.F._cum is None
     assert idx.L._pos is None
     assert idx.lf_rmq._v is idx.lf_values
+    # the code rows are the image's sections, and B keeps no positions
+    sections = dict(_sections(img))
+    assert type(idx.F._codes) is bytes and idx.F._codes == sections[2]
+    assert type(idx.L._codes) is bytes and idx.L._codes == sections[1]
+    assert set(vars(idx.B)) == {"_n", "_bits", "_rank1"}
     # built on first use, the tables answer as the codes say
     f, l = idx.F.codes(), idx.L.codes()
     for c in range(idx.K + 2):
@@ -213,20 +219,42 @@ def _payload_offsets(img):
     return out
 
 
+def _sections(img):
+    """The image's (tag, payload) sections in order."""
+    off = 8 + 4 + 4 + 8 + 8 + 4
+    out = []
+    while off < len(img) - 4:
+        tag, length = struct.unpack_from("<IQ", img, off)
+        out.append((tag, img[off + 12:off + 12 + length]))
+        off += 12 + length
+    return out
+
+
+def _with_sections(img, sections):
+    """img's header followed by the given (tag, payload) sections,
+    resealed."""
+    body = b"".join(struct.pack("<IQ", tag, len(payload)) + payload
+                    for tag, payload in sections)
+    return _reseal(img[:36] + body + b"\x00\x00\x00\x00")
+
+
 def test_missing_section_is_reported():
     img = serialize(build("ab", delta=1))
     # strip the final section (sample values) and fix the checksum
-    off = 8 + 4 + 4 + 8 + 8 + 4
-    end = len(img) - 4
-    sections = []
-    while off < end:
-        tag, length = struct.unpack_from("<IQ", img, off)
-        sections.append((tag, img[off:off + 12 + length]))
-        off += 12 + length
-    kept = b"".join(raw for tag, raw in sections if tag != 4)
-    rebuilt = img[:36] + kept + b"\x00\x00\x00\x00"
+    kept = [(tag, payload) for tag, payload in _sections(img) if tag != 4]
     with pytest.raises(IndexFormatError, match="missing sections"):
-        deserialize(_reseal(rebuilt))
+        deserialize(_with_sections(img, kept))
+
+
+@pytest.mark.parametrize("edit", ["unknown tag", "L twice"])
+def test_section_table_lists_each_known_section_once(edit):
+    img = serialize(build("abbabbcbc", delta=2))
+    sections = _sections(img)
+    assert _with_sections(img, sections) == img
+    sections.append((5, b"") if edit == "unknown tag" else sections[0])
+    with pytest.raises(IndexFormatError, match="unknown or repeated") as err:
+        deserialize(_with_sections(img, sections))
+    assert not isinstance(err.value, ChecksumError)
 
 
 def test_code_outside_declared_alphabet_is_reported():

@@ -109,6 +109,9 @@ def test_codeseq_validates_codes():
         CodeSeq([0, 4], 3)
     with pytest.raises(ValueError):
         CodeSeq([-1], 3)
+    # codes are held one byte each
+    with pytest.raises(ValueError):
+        CodeSeq([0, 1], 256)
 
 
 def test_codeseq_codes_returns_a_copy():
