@@ -15,7 +15,10 @@ Karp-Rabin fingerprints with randomly drawn bases.  A suffix's encoding is
 the text's ssp with INF wherever the palindrome starts before the suffix
 (a prev-encoding, as for Baker's parameterized strings), so its
 fingerprint is the text's plus a correction for those positions.  build
-checks the order it gets, exactly at each pair's first differing column.
+and verify certify the order they get exactly, in O(n log n): the adjacent
+common prefixes found by fingerprints are checked against each other
+through the one column in which a suffix's encoding differs from its
+successor's shifted by one (_first_refuted).
 
 Row numbers and text positions are 1-based; plain lists store row i at
 index i-1.
@@ -103,10 +106,11 @@ class VerifyResult:
 def _encode(text):
     """(ssp(T), K, codes) from one palcore._profile pass over the reversed
     text.  codes[s] is the section code of pi(T[s..]) for s in 1..n (INF
-    as K+1, K the largest group id) and DOLLAR at 0 and n+1, so for the
-    sorted starts sa, F is codes[sa] and L is codes[sa - 1]."""
+    as K+1, K the largest group id) and DOLLAR at 0 and n+1, one byte
+    each as in the image, so for the sorted starts sa, F is codes[sa] and
+    L is codes[sa - 1]."""
     n = len(text)
-    codes = np.zeros(n + 2, dtype=np.int64)
+    codes = np.zeros(n + 2, dtype=np.uint8)
     if not n:
         return [], 0, codes
     _, ssp_arr, groups, _ = palcore._profile(text[::-1])
@@ -264,9 +268,7 @@ class _Windows:
     def lcp(self, a, b, lo, hi):
         """Common encoding prefix of the suffixes a and b, known to be at
         least lo (and lo >= depth) and at most hi: galloping from lo, then
-        binary search."""
-        lo = lo.copy()
-        hi = hi.copy()
+        binary search.  Overwrites lo and hi, and returns lo."""
         todo = np.flatnonzero(lo < hi)
         gallop = np.ones(todo.size, dtype=bool)
         step = 1
@@ -388,7 +390,7 @@ def _pal_suffix_sort(ssp_arr):
     groups still tied once that stops paying (see _Handover) and splits
     them by fingerprinted common prefixes.  The order does not depend on
     the fingerprint bases; a collision can only yield a wrong order, which
-    build's self-check then rejects.
+    the certificate of _first_uncertified then rejects.
     """
     codes = _ssp_codes(ssp_arr)
     order, rows, groups, depth = _refine_by_columns(codes, _Handover(codes))
@@ -398,56 +400,118 @@ def _pal_suffix_sort(ssp_arr):
     return order
 
 
-def _common_prefix(codes, a, b, handover=None):
+def _common_prefix(codes, a, b):
     """(lcp, open, depth) for the suffixes a and b, compared exactly a
     block of columns at a time: lcp is the common encoding prefix of each
     pair, except for the pairs at indices open, still equal through
-    column depth when handover stopped the scan."""
+    column depth when _Handover stopped the scan, whose lcp is the length
+    of their shorter suffix."""
     n = len(codes) - 1
-    cap = np.minimum(n - a, n - b)
-    lcp = cap.copy()
-    todo = np.flatnonzero(cap > 0)
+    lcp = np.minimum(n - a, n - b)
+    todo = np.flatnonzero(lcp > 0)
+    handover = _Handover(codes)
     col = steps = 0
-    while todo.size and not (handover and handover(col, steps)):
+    while todo.size and not handover(col, steps):
         width = max(1, len(codes) // todo.size)
         cols = np.arange(col + 1, col + width + 1)
         steps += todo.size * width
         ta = a[todo, None] + (cols - 1)
         tb = b[todo, None] + (cols - 1)
         # the column after the shorter suffix ends every comparison
-        stop = cols > cap[todo, None]
+        stop = cols > lcp[todo, None]
         stop |= (_shown(codes, np.minimum(ta, n), cols)
                  != _shown(codes, np.minimum(tb, n), cols))
         hit = stop.any(axis=1)
         lcp[todo[hit]] = col + stop[hit].argmax(axis=1)
         todo = todo[~hit]
         col += width
-    lcp[todo] = col
     return lcp, todo, col
 
 
-def _first_unsorted(ssp_arr, sa, exact):
+def _first_uncertified(ssp_arr, sa):
     """Index r of the first row pair (r+1, r+2) whose suffixes (1-based
-    starts sa) are not in strictly increasing encoding order, or -1.
+    starts sa) the sorted-order certificate cannot show strictly
+    increasing, or -1 when sa is the order of all n+1 suffixes.
 
-    Every pair is compared exactly through its common prefix and the
-    column after it.  With exact False, the pairs still equal when
-    _Handover stops the column scan get their common prefix from
-    fingerprints with fresh bases instead, an O(n log n) check that a
-    collision can only make fail.
+    The pairs _common_prefix leaves open get their common prefix from
+    fingerprints; _first_refuted checks every claimed prefix exactly, so
+    a fingerprint collision can only make the check fail.
     """
     codes = _ssp_codes(ssp_arr)
-    a, b = sa[:-1] - 1, sa[1:] - 1
-    lcp, todo, depth = _common_prefix(codes, a, b,
-                                      None if exact else _Handover(codes))
+    starts = sa - 1
+    a, b = starts[:-1], starts[1:]
+    lcp, todo, depth = _common_prefix(codes, a, b)
     if todo.size:
-        n = len(codes) - 1
-        ta, tb = a[todo], b[todo]
         lcp[todo] = _Windows(codes, depth).lcp(
-            ta, tb, lcp[todo], np.minimum(n - ta, n - tb))
-    bad = np.flatnonzero(_shown(codes, a + lcp, lcp + 1)
-                         >= _shown(codes, b + lcp, lcp + 1))
+            a[todo], b[todo], np.full(todo.size, depth), lcp[todo])
+    return _first_refuted(codes, starts, lcp)
+
+
+def _first_refuted(codes, starts, lcp):
+    """Index r of the first adjacent pair of the 0-based starts (n+1
+    values in 0..n) that the claimed common prefixes lcp fail to certify,
+    or -1 when starts is a permutation and every pair (a, b) with claim l
+    passes:
+
+    (i) l is inside both suffixes, and a is below b at column l+1;
+    (ii) a and b have the same events (below) at columns 2..l;
+    (iii) every claim between the rows of a+1 and b+1 is at least l-1.
+
+    The event of start a is the position q whose shortest
+    suffix-palindrome starts at a, at column E(a) = ssp(T)[q].  There is
+    at most one: were T[a..q] and T[a..q'], q < q', both shortest, the
+    mirror image of the first inside the second would be a shorter
+    suffix-palindrome ending at q'.  Column k+1 of suffix a shows what
+    column k of suffix a+1 does, except at E(a), where a+1 shows INF.  By
+    induction on j, every true common prefix is then at least
+    min(claim, j): (iii) lifts this to a+1 and b+1, as the common prefix
+    is an ultrametric along any row order, and (ii) and the INF at column
+    1 carry it to a and b.  So every claim is a lower bound, and (i)
+    makes it exact and the pair strictly increasing: a wrong claim can
+    only be refuted.  This is the LCP check for suffix arrays (Burkhardt
+    and Karkkainen, CPM 2003), with events for the one column in which a
+    shift by one start changes a suffix.
+    """
+    n = len(codes) - 1
+    row_of = np.full(n + 1, -1, dtype=np.int32)
+    row_of[starts] = np.arange(n + 1, dtype=np.int32)
+    # n+1 starts in 0..n leave a row unset only when one repeats
+    if (row_of < 0).any():
+        return 0
+    a, b = starts[:-1], starts[1:]
+    bad = np.flatnonzero((lcp < 0) | (lcp > n - np.maximum(a, b)))
+    if bad.size:
+        return int(bad[0])
+    unsorted = (_shown(codes, a + lcp, lcp + 1)
+                >= _shown(codes, b + lcp, lcp + 1))
+    deep = np.flatnonzero(lcp >= 2)
+    ra, rb = row_of[a[deep] + 1], row_of[b[deep] + 1]
+    refuted = np.zeros(n, dtype=bool)
+    refuted[deep] = (_range_minima(lcp, np.minimum(ra, rb), np.maximum(ra, rb))
+                     < lcp[deep] - 1)
+    event = np.zeros(n + 1, dtype=np.int32)
+    q = np.flatnonzero(codes[:n] <= n)
+    event[q - codes[q] + 1] = codes[q]
+    ea, eb = event[a], event[b]
+    refuted |= np.where(ea <= lcp, ea, 0) != np.where(eb <= lcp, eb, 0)
+    # a pair out of order is named before a claim other pairs refute
+    bad = np.flatnonzero(unsorted if unsorted.any() else refuted)
     return int(bad[0]) if bad.size else -1
+
+
+def _range_minima(vals, lo, hi):
+    """min(vals[lo[i]:hi[i]]) for every i, lo < hi, offline in int32: one
+    buffer holds the minima of the windows of length 2**k, one level k at
+    a time, and each range of width [2**k, 2**(k+1)) reads the two windows
+    of its level that cover it."""
+    width = hi - lo
+    out = np.empty(lo.size, dtype=np.int32)
+    buf = vals.astype(np.int32)
+    for k in range(int(width.max(initial=0)).bit_length()):
+        at = np.flatnonzero(width >> k == 1)
+        out[at] = np.minimum(buf[lo[at]], buf[hi[at] - (1 << k)])
+        np.minimum(buf[:-(1 << k)], buf[1 << k:], out=buf[:-(1 << k)])
+    return out
 
 
 @dataclass
@@ -612,7 +676,10 @@ class PalFMIndex:
 
         Intrinsic checks (histograms, DOLLAR placement, LF non-crossing)
         run before anything that rebuilds from the text, so a corrupted
-        component is named rather than drowned in downstream noise.
+        component is named rather than drowned in downstream noise.  The
+        suffix order rebuilt from the text is certified (sorted-order)
+        before any row is compared against it, so a wrong re-sort is named
+        as such.
         """
         rows = self.n + 1
         fc, lc = (np.frombuffer(c._codes, np.uint8) for c in (self.F, self.L))
@@ -622,9 +689,9 @@ class PalFMIndex:
             return VerifyResult(False, *bad)
 
         # rows sharing an L code must map to increasing rows
+        lf = np.array(self.lf_values)
         order = np.argsort(lc, kind="stable")
-        crossed = ((np.diff(lc[order]) == 0)
-                   & (np.diff(np.array(self.lf_values)[order]) <= 0))
+        crossed = (np.diff(lc[order]) == 0) & (np.diff(lf[order]) <= 0)
         if crossed.any():
             i = order[crossed.argmax() + 1]
             return VerifyResult(False, "lf-noncrossing",
@@ -637,16 +704,21 @@ class PalFMIndex:
                                 % (len(text), self.n))
         ssp_arr, k, pi_codes = _encode(text)
         sa = _pal_suffix_sort(ssp_arr)
+        bad = _first_uncertified(ssp_arr, sa)
+        if bad >= 0:
+            return VerifyResult(False, "sorted-order",
+                                "rows %d and %d are not strictly "
+                                "increasing" % (bad + 1, bad + 2))
         # row_of[s]: the row of start s; row 1 is LF of the row of start 1
         row_of = np.ones(rows + 1, dtype=np.int64)
         row_of[sa] = np.arange(1, rows + 1)
         want = row_of[sa - 1]
-        differ = np.flatnonzero(np.array(self.lf_values) != want)
+        differ = np.flatnonzero(lf != want)
         if differ.size:
             i = differ[0]
             return VerifyResult(False, "definitional-lf",
                                 "row %d: LF is %d, definition gives %d"
-                                % (i + 1, self.lf_values[i], want[i]))
+                                % (i + 1, lf[i], want[i]))
 
         differ = np.flatnonzero((fc != pi_codes[sa])
                                 | (lc != pi_codes[sa - 1]) | (k != self.K))
@@ -657,17 +729,11 @@ class PalFMIndex:
                                 "gives %d)" % (differ[0] + 1, self.K, k))
 
         marked = (sa - 1) % self.delta == 0
-        if [self.B.bit_at(i) for i in range(1, rows + 1)] != marked.tolist() \
-                or self.S != sa[marked].tolist():
+        if _sampling_payloads(self.B._bits, self.S) \
+                != _sampling_payloads(marked, sa[marked]):
             return VerifyResult(False, "sampling",
                                 "delta marks or sample values do not match "
                                 "the suffix order")
-
-        bad = _first_unsorted(ssp_arr, sa, exact=True)
-        if bad >= 0:
-            return VerifyResult(False, "sorted-order",
-                                "rows %d and %d are not strictly "
-                                "increasing" % (bad + 1, bad + 2))
         return VerifyResult(True)
 
 
@@ -735,8 +801,9 @@ def build(text, delta=32, force=False):
     """Index the text with locate sampling rate delta.
 
     The suffix order comes from _pal_suffix_sort.  A self-check then
-    requires every pair of adjacent rows to be strictly increasing and the
-    LF walk over the F and L codes to meet the sorted starts; a failure
+    certifies every pair of adjacent rows strictly increasing
+    (_first_uncertified, exact whatever the fingerprints drew) and requires
+    the LF walk over the F and L codes to meet the sorted starts; a failure
     raises SelfCheckError.  Texts longer than BUILD_GUARD are rejected
     unless force is given.
     """
@@ -750,7 +817,7 @@ def build(text, delta=32, force=False):
                          "to override" % (n, BUILD_GUARD))
     ssp_arr, k_max, pi_codes = _encode(text)
     sa = _pal_suffix_sort(ssp_arr)
-    bad = _first_unsorted(ssp_arr, sa, exact=False)
+    bad = _first_uncertified(ssp_arr, sa)
     if bad >= 0:
         raise SelfCheckError("construction self-check failed: rows %d and "
                              "%d are not in increasing order"

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from palfm import index as index_mod
@@ -258,12 +259,14 @@ def _fingerprint_order(ssp_arr, depth):
 
 def test_pal_suffix_sort_matches_oracle_on_small_texts():
     # random texts, (a^k b)*, periodic words, Fibonacci windows and byte
-    # texts of mirrored runs; phase 2 also runs alone and after 2 columns
+    # texts of mirrored runs; phase 2 also runs alone and after 2 columns,
+    # and the certificate accepts the order
     rng = random.Random(61)
     for i in range(2000):
         t = _small_text(rng, i % 5, rng.randint(0, 16))
         want = oracle.suffix_order_naive(t)
         ssp_arr = palcore.ssp(t)
+        assert index_mod._first_uncertified(ssp_arr, np.array(want)) == -1, t
         assert index_mod._pal_suffix_sort(ssp_arr).tolist() == want, t
         assert _fingerprint_order(ssp_arr, 0) == want, t
         assert _fingerprint_order(ssp_arr, 2) == want, t
@@ -281,6 +284,40 @@ def test_pal_suffix_sort_on_mid_size_repetitive_texts(text):
     assert index_mod._pal_suffix_sort(ssp_arr).tolist() == want
     assert _fingerprint_order(ssp_arr, 0) == want
     assert _fingerprint_order(ssp_arr, 9) == want
+
+
+def _common_prefixes(t, order):
+    """Common encoding prefixes of the suffixes at adjacent starts of
+    order, from ssp_naive encodings ended by DOLLAR."""
+    enc = [oracle.ssp_naive(t[s - 1:]) + [DOLLAR] for s in order]
+    return [sum(1 for _ in itertools.takewhile(lambda c: c[0] == c[1],
+                                               zip(x, y)))
+            for x, y in zip(enc, enc[1:])]
+
+
+def test_certificate_refutes_every_swap_and_lcp_edit():
+    # T (all 45 swaps), the empty and one-symbol texts, and small texts of
+    # all five kinds: every +-1 edit of one true common prefix and every
+    # swap of two rows fails, and the true pair passes
+    rng = random.Random(73)
+    texts = [T, "", "a"] + [_small_text(rng, i % 5, rng.randint(2, 10))
+                            for i in range(250)]
+    for t in texts:
+        ssp_arr = palcore.ssp(t)
+        sa = np.array(oracle.suffix_order_naive(t))
+        codes = index_mod._ssp_codes(ssp_arr)
+        lcp = np.array(_common_prefixes(t, sa), dtype=np.int64)
+        assert index_mod._first_refuted(codes, sa - 1, lcp) == -1, t
+        for r, d in itertools.product(range(lcp.size), (-1, 1)):
+            edited = lcp.copy()
+            edited[r] += d
+            assert index_mod._first_refuted(codes, sa - 1, edited) >= 0, \
+                (t, r, d)
+        for i, j in itertools.combinations(range(sa.size), 2):
+            swapped = sa.copy()
+            swapped[[i, j]] = sa[[j, i]]
+            assert index_mod._first_uncertified(ssp_arr, swapped) >= 0, \
+                (t, i, j)
 
 
 def test_interval_helpers():
@@ -399,6 +436,16 @@ def test_verify_names_unsorted_rows(monkeypatch):
     res = bad.verify(T)
     assert not res.ok
     assert res.violation == "sorted-order"
+
+
+def test_verify_names_swaps_past_the_exact_columns(monkeypatch):
+    # verify certifies its own re-sort of a^300 before comparing rows
+    idx = build("a" * 300, delta=2)
+    monkeypatch.setattr(index_mod, "_pal_suffix_sort",
+                        _swapped_sort((200, 201)))
+    res = idx.verify("a" * 300)
+    assert (res.violation, res.detail) == (
+        "sorted-order", "rows 200 and 201 are not strictly increasing")
 
 
 def test_verify_names_bad_samples(fix):
