@@ -149,7 +149,6 @@ def cmd_stats(args):
               for k, v in sorted(st["section_bits"].items())]
     pairs += [("derived_bits.%s" % k, v)
               for k, v in sorted(st["derived_bits"].items())]
-    pairs.append(("shared_pool_bits", st["shared_pool_bits"]))
     _emit_pairs(pairs, args.format)
     return 0
 

@@ -20,7 +20,7 @@ common prefixes found by fingerprints are checked against each other
 through the one column in which a suffix's encoding differs from its
 successor's shifted by one (_first_refuted).
 
-Row numbers and text positions are 1-based; plain lists store row i at
+Row numbers and text positions are 1-based; sequences store row i at
 index i-1.
 """
 
@@ -28,13 +28,14 @@ import random
 import struct
 import sys
 import zlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import palcore
 from .palcore import INF
-from .succinct import BitVec, CodeSeq, RmqIndex, int_list, pool_bytes
+from .succinct import BitVec, CodeSeq, RmqIndex, int_list
 
 DOLLAR = 0
 
@@ -47,9 +48,9 @@ _SEC_MARKS = 3
 _SEC_SAMPLES = 4
 
 # larger texts need force=True / --force-large: a loaded index holds about
-# 55 times its image (Python lists of LF, the range-maximum blocks, the
-# sampling and the rank/select tables its queries build, and the F and L
-# codes as bytes)
+# 22 times its image once it has answered a count and a locate (4-byte
+# arrays of LF, the range-maximum blocks, the sampling and the rank/select
+# tables its queries build, and the F and L codes as bytes)
 BUILD_GUARD = 50_000
 
 
@@ -523,10 +524,10 @@ class PalFMIndex:
     K: int
     F: CodeSeq
     L: CodeSeq
-    lf_values: list
+    lf_values: array
     lf_rmq: RmqIndex
     B: BitVec
-    S: list
+    S: array
 
     # -- queries ---------------------------------------------------------
 
@@ -615,19 +616,20 @@ class PalFMIndex:
         """Suffix starts of the given rows: each follows LF until a
         sampled row, at most delta steps, and adds the steps taken to the
         sample stored there."""
-        marked, rank = self.B.bit_at, self.B.rank
+        bits, rank1 = self.B._bits, self.B._rank1
         lf, S = self.lf_values, self.S
         span = range(self.delta + 1)
         starts = []
         for j in rows:
+            j -= 1
             for steps in span:
-                if marked(j):
+                if bits[j]:
                     break
-                j = lf[j - 1]
+                j = lf[j] - 1
             else:
                 raise IndexFormatError("sampling walk exceeded delta; "
                                        "index is inconsistent")
-            starts.append(S[rank(j, 1) - 1] + steps)
+            starts.append(S[rank1[j]] + steps)
         return starts
 
     # -- reporting -------------------------------------------------------
@@ -635,9 +637,8 @@ class PalFMIndex:
     def stats(self):
         """Image section sizes, the bytes each loaded component holds (a
         table no query has built yet counts 0, and LF, which lf_rmq reads
-        from lf_values, counts once), the bytes of the int pool that the
-        components' lists share with every other index in the process, and
-        the index's headline parameters."""
+        from lf_values, counts once), and the index's headline
+        parameters."""
         rows = self.n + 1
         section_bits = {
             "header": (len(MAGIC) + 4 + 4 + 8 + 8 + 4) * 8,
@@ -666,7 +667,6 @@ class PalFMIndex:
             "total_bits": total_bits,
             "bits_per_symbol": total_bits / max(self.n, 1),
             "derived_bits": {k: v * 8 for k, v in held_bytes.items()},
-            "shared_pool_bits": pool_bytes() * 8,
         }
 
     # -- verification ----------------------------------------------------
@@ -812,7 +812,7 @@ def build(text, delta=32, force=False):
         raise ValueError("delta must be in [1..%d]" % max(n, 1))
     if n > BUILD_GUARD and not force:
         raise ValueError("text of %d symbols exceeds the construction guard "
-                         "(%d; a loaded index takes about 55 times its "
+                         "(%d; a loaded index takes about 22 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
     ssp_arr, k_max, pi_codes = _encode(text)

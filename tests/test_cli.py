@@ -87,7 +87,6 @@ def test_stats_reports_key_value_lines(files, capsys):
     assert "n 9\n" in out
     assert "bits_per_symbol " in out
     assert "section_bits.l_codes " in out
-    assert "shared_pool_bits " in out
 
 
 def test_verify_clean_pair(files, capsys):

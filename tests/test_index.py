@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -31,11 +30,11 @@ def test_fixture_rows(fix):
     assert _sa(fix) == [10, 9, 2, 5, 8, 1, 4, 7, 3, 6]
     assert fix.F.codes() == [DOLLAR, inf, 1, 1, inf, 2, inf, 2, 2, 2]
     assert fix.L.codes() == [inf, inf, 2, inf, 2, DOLLAR, 2, 2, 1, 1]
-    assert fix.lf_values == [2, 5, 6, 7, 8, 1, 9, 10, 3, 4]
+    assert list(fix.lf_values) == [2, 5, 6, 7, 8, 1, 9, 10, 3, 4]
 
 
 def test_lf_accessor(fix):
-    assert [fix.lf(i) for i in range(1, 11)] == fix.lf_values
+    assert [fix.lf(i) for i in range(1, 11)] == list(fix.lf_values)
     with pytest.raises(ValueError):
         fix.lf(0)
     with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ def test_pattern_group_count_can_exceed_text_alphabet():
 def test_sampling_walk():
     idx = build(T, delta=4)
     marked = [s for s in _sa(idx) if (s - 1) % 4 == 0]
-    assert idx.S == marked == [9, 5, 1]
+    assert list(idx.S) == marked == [9, 5, 1]
     assert idx.sa_access(3) == 2
     assert _sa(idx) == [10, 9, 2, 5, 8, 1, 4, 7, 3, 6]
     with pytest.raises(ValueError):
@@ -468,9 +467,6 @@ def test_stats_reports_sizes():
     assert st["total_bits"] == len(serialize(idx)) * 8
     assert st["bits_per_symbol"] == pytest.approx(st["total_bits"] / 9)
     assert all(v > 0 for v in st["derived_bits"].values())
-    # the pool holds at least the ints 0..n+1, a pointer and an int each
-    int_bits = (8 + sys.getsizeof(0)) * 8
-    assert st["shared_pool_bits"] >= int_bits * (st["n"] + 2)
     # F's rank directories exist only once a query builds them
     idx.F.rank(3, 1)
     grown = idx.stats()["derived_bits"]

@@ -1,5 +1,6 @@
 """On-disk image format: round trips, corruption detection, error types."""
 
+import array
 import hashlib
 import random
 import struct
@@ -77,6 +78,21 @@ def test_loaded_index_builds_only_the_tables_queries_read():
             == [f[:i].count(c) for i in range(len(f) + 1)]
         assert [idx.L.select(r, c) for r in range(1, l.count(c) + 1)] \
             == [i + 1 for i, x in enumerate(l) if x == c]
+
+
+def test_loaded_tables_hold_four_byte_entries():
+    t = _random_text(random.Random(71), 2000, sigma=4)
+    idx = deserialize(serialize(build(t, delta=8)))
+    idx.count(t[100:108])
+    idx.locate(t[200:206])
+    rmq = idx.lf_rmq
+    tables = [idx.lf_values, idx.S, idx.B._bits, idx.B._rank1,
+              rmq._head, rmq._tail, *rmq._table, *idx.L._cum,
+              *idx.F._pos.values()]
+    assert len(rmq._table) > 1 and len(idx.L._cum) == idx.K + 2
+    for table in tables:
+        assert type(table) is array.array and table.itemsize == 4
+    assert "shared_pool_bits" not in idx.stats()
 
 
 def _fibonacci(n):

@@ -147,7 +147,9 @@ def test_rmq_errors():
 
 
 def test_int_list_rejects_negative_values():
-    assert int_list([3, 0, 2]) == [3, 0, 2]
+    assert list(int_list([3, 0, 2])) == [3, 0, 2]
+    assert int_list([2 ** 31 - 1]).typecode == "i"
+    assert int_list([2 ** 31]).typecode == "q"
     with pytest.raises(ValueError):
         int_list([3, -1, -2])
     with pytest.raises(ValueError):
