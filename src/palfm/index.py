@@ -14,9 +14,10 @@ paying, a multikey quicksort whose comparisons find common prefixes by
 Karp-Rabin fingerprints with randomly drawn bases.  A suffix's encoding is
 the text's ssp with INF wherever the palindrome starts before the suffix
 (a prev-encoding, as for Baker's parameterized strings), so its
-fingerprint is the text's plus a correction for those positions.  build
-and verify certify the order they get exactly, in O(n log n): the adjacent
-common prefixes found by fingerprints are checked against each other
+fingerprint is the text's plus a correction for those positions.  The
+sort also returns the common prefix of each pair of adjacent rows, which
+it finds as it splits them.  build and verify certify the order exactly
+with these, in O(n log n): the prefixes are checked against each other
 through the one column in which a suffix's encoding differs from its
 successor's shifted by one (_first_refuted).
 
@@ -308,12 +309,15 @@ def _refine_by_columns(codes, handover):
     """Phase 1: refine the rows still tied with a neighbour by one exact
     column at a time, until none is tied or handover says to stop.
 
-    Returns (order, rows, groups, depth): order[r] is the suffix at row
-    r; rows lists the tied rows in row order and groups their group
-    labels (non-decreasing), all of whose suffixes agree on the first
-    depth columns.
+    Returns (order, lcp, rows, groups, depth): order[r] is the suffix at
+    row r, and lcp[r] the common prefix of rows r and r+1 once a column
+    has told them apart (col - 1 for a boundary drawn at column col);
+    rows lists the tied rows in row order and groups their group labels
+    (non-decreasing), all of whose suffixes agree on the first depth
+    columns.
     """
     order = np.arange(len(codes), dtype=np.int64)
+    lcp = np.empty(len(codes) - 1, dtype=np.int64)
     rows = order.copy()
     groups = np.zeros(len(codes), dtype=np.int64)
     stride = len(codes) + 2
@@ -330,9 +334,10 @@ def _refine_by_columns(codes, handover):
         head = np.empty(rows.size, dtype=bool)
         head[0] = True
         np.not_equal(key[1:], key[:-1], out=head[1:])
+        lcp[rows[:-1][head[1:] & (groups[1:] == groups[:-1])]] = col - 1
         keep = _tied(head)
         groups, rows = np.cumsum(head)[keep], rows[keep]
-    return order, rows, groups, col
+    return order, lcp, rows, groups, col
 
 
 def _tied(head):
@@ -343,16 +348,19 @@ def _tied(head):
     return ~alone
 
 
-def _refine_by_fingerprints(codes, order, rows, groups, depth):
+def _refine_by_fingerprints(codes, order, adjacent, rows, groups, depth):
     """Phase 2: multikey quicksort of the tied groups left by phase 1, in
-    place on order.
+    place on order and on adjacent, the common prefixes of adjacent rows.
 
     Each group takes its middle row as pivot.  Every member finds its
     common prefix with the pivot by fingerprints and is split on the
     exact value at the next column: members below the pivot in ascending
     order of that prefix length, members above in descending order, and
     members agreeing on (side, length, value) stay tied one column
-    deeper.
+    deeper.  Two rows a split tells apart have the smaller of their
+    common prefixes with the pivot in common (the pivot's own is its
+    length), so adjacent takes that at each boundary drawn inside a
+    group.
     """
     n = len(codes) - 1
     windows = _Windows(codes, depth)
@@ -379,73 +387,29 @@ def _refine_by_fingerprints(codes, order, rows, groups, depth):
         head[0] = True
         head[1:] = ((group[1:] != group[:-1]) | (side[1:] != side[:-1])
                     | (lcp[1:] != lcp[:-1]) | (mine[1:] != mine[:-1]))
+        cut = np.flatnonzero(head[1:] & (group[1:] == group[:-1]))
+        adjacent[rows[cut]] = np.minimum(lcp[cut], lcp[cut + 1])
         keep = _tied(head)
         groups, rows, known = np.cumsum(head)[keep], rows[keep], lcp[keep] + 1
 
 
-def _pal_suffix_sort(ssp_arr):
-    """Starts 1..n+1 sorted by the ssp encodings of the suffixes, as an
-    int64 array.
+def _pal_suffix_sort(codes):
+    """(sa, lcp) for the _ssp_codes of a text: sa holds the starts 1..n+1
+    sorted by the ssp encodings of the suffixes, and lcp[r] the common
+    encoding prefix of rows r+1 and r+2, both as int64 arrays.
 
     Phase 1 refines tied rows column by column; phase 2 takes over the
     groups still tied once that stops paying (see _Handover) and splits
     them by fingerprinted common prefixes.  The order does not depend on
-    the fingerprint bases; a collision can only yield a wrong order, which
-    the certificate of _first_uncertified then rejects.
+    the fingerprint bases; a collision can only yield a wrong order or a
+    wrong lcp, which the certificate of _first_refuted then rejects.
     """
-    codes = _ssp_codes(ssp_arr)
-    order, rows, groups, depth = _refine_by_columns(codes, _Handover(codes))
+    order, lcp, rows, groups, depth = _refine_by_columns(codes,
+                                                         _Handover(codes))
     if rows.size:
-        _refine_by_fingerprints(codes, order, rows, groups, depth)
+        _refine_by_fingerprints(codes, order, lcp, rows, groups, depth)
     order += 1
-    return order
-
-
-def _common_prefix(codes, a, b):
-    """(lcp, open, depth) for the suffixes a and b, compared exactly a
-    block of columns at a time: lcp is the common encoding prefix of each
-    pair, except for the pairs at indices open, still equal through
-    column depth when _Handover stopped the scan, whose lcp is the length
-    of their shorter suffix."""
-    n = len(codes) - 1
-    lcp = np.minimum(n - a, n - b)
-    todo = np.flatnonzero(lcp > 0)
-    handover = _Handover(codes)
-    col = steps = 0
-    while todo.size and not handover(col, steps):
-        width = max(1, len(codes) // todo.size)
-        cols = np.arange(col + 1, col + width + 1)
-        steps += todo.size * width
-        ta = a[todo, None] + (cols - 1)
-        tb = b[todo, None] + (cols - 1)
-        # the column after the shorter suffix ends every comparison
-        stop = cols > lcp[todo, None]
-        stop |= (_shown(codes, np.minimum(ta, n), cols)
-                 != _shown(codes, np.minimum(tb, n), cols))
-        hit = stop.any(axis=1)
-        lcp[todo[hit]] = col + stop[hit].argmax(axis=1)
-        todo = todo[~hit]
-        col += width
-    return lcp, todo, col
-
-
-def _first_uncertified(ssp_arr, sa):
-    """Index r of the first row pair (r+1, r+2) whose suffixes (1-based
-    starts sa) the sorted-order certificate cannot show strictly
-    increasing, or -1 when sa is the order of all n+1 suffixes.
-
-    The pairs _common_prefix leaves open get their common prefix from
-    fingerprints; _first_refuted checks every claimed prefix exactly, so
-    a fingerprint collision can only make the check fail.
-    """
-    codes = _ssp_codes(ssp_arr)
-    starts = sa - 1
-    a, b = starts[:-1], starts[1:]
-    lcp, todo, depth = _common_prefix(codes, a, b)
-    if todo.size:
-        lcp[todo] = _Windows(codes, depth).lcp(
-            a[todo], b[todo], np.full(todo.size, depth), lcp[todo])
-    return _first_refuted(codes, starts, lcp)
+    return order, lcp
 
 
 def _first_refuted(codes, starts, lcp):
@@ -480,16 +444,15 @@ def _first_refuted(codes, starts, lcp):
     if (row_of < 0).any():
         return 0
     a, b = starts[:-1], starts[1:]
-    bad = np.flatnonzero((lcp < 0) | (lcp > n - np.maximum(a, b)))
-    if bad.size:
-        return int(bad[0])
-    unsorted = (_shown(codes, a + lcp, lcp + 1)
-                >= _shown(codes, b + lcp, lcp + 1))
+    # a claim outside the shorter suffix is refuted, and checked as 0
+    refuted = (lcp < 0) | (lcp > n - np.maximum(a, b))
+    lcp = np.where(refuted, 0, lcp)
+    unsorted = ~refuted & (_shown(codes, a + lcp, lcp + 1)
+                           >= _shown(codes, b + lcp, lcp + 1))
     deep = np.flatnonzero(lcp >= 2)
     ra, rb = row_of[a[deep] + 1], row_of[b[deep] + 1]
-    refuted = np.zeros(n, dtype=bool)
-    refuted[deep] = (_range_minima(lcp, np.minimum(ra, rb), np.maximum(ra, rb))
-                     < lcp[deep] - 1)
+    refuted[deep] |= (_range_minima(lcp, np.minimum(ra, rb),
+                                    np.maximum(ra, rb)) < lcp[deep] - 1)
     event = np.zeros(n + 1, dtype=np.int32)
     q = np.flatnonzero(codes[:n] <= n)
     event[q - codes[q] + 1] = codes[q]
@@ -703,8 +666,9 @@ class PalFMIndex:
                                 "text length %d does not match n = %d"
                                 % (len(text), self.n))
         ssp_arr, k, pi_codes = _encode(text)
-        sa = _pal_suffix_sort(ssp_arr)
-        bad = _first_uncertified(ssp_arr, sa)
+        codes = _ssp_codes(ssp_arr)
+        sa, lcp = _pal_suffix_sort(codes)
+        bad = _first_refuted(codes, sa - 1, lcp)
         if bad >= 0:
             return VerifyResult(False, "sorted-order",
                                 "rows %d and %d are not strictly "
@@ -775,7 +739,7 @@ def _assemble(n, delta, k, fcodes, lcodes):
         np.argsort(fcodes, kind="stable") + 1
     lf_values = int_list(lf)
     # lf is a permutation: the walk returns to row 1, after all n+1 rows
-    walk = [0]
+    walk = array("i" if rows <= 2 ** 31 - 1 else "q", [0])
     r = lf_values[0] - 1
     while r:
         walk.append(r)
@@ -800,11 +764,12 @@ def _assemble(n, delta, k, fcodes, lcodes):
 def build(text, delta=32, force=False):
     """Index the text with locate sampling rate delta.
 
-    The suffix order comes from _pal_suffix_sort.  A self-check then
-    certifies every pair of adjacent rows strictly increasing
-    (_first_uncertified, exact whatever the fingerprints drew) and requires
-    the LF walk over the F and L codes to meet the sorted starts; a failure
-    raises SelfCheckError.  Texts longer than BUILD_GUARD are rejected
+    The suffix order and its adjacent common prefixes come from
+    _pal_suffix_sort.  A self-check then certifies every pair of adjacent
+    rows strictly increasing with those prefixes (_first_refuted, exact
+    whatever the fingerprints drew) and requires the LF walk over the F
+    and L codes to meet the sorted starts; a failure raises
+    SelfCheckError.  Texts longer than BUILD_GUARD are rejected
     unless force is given.
     """
     n = len(text)
@@ -816,14 +781,16 @@ def build(text, delta=32, force=False):
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
     ssp_arr, k_max, pi_codes = _encode(text)
-    sa = _pal_suffix_sort(ssp_arr)
-    bad = _first_uncertified(ssp_arr, sa)
+    codes = _ssp_codes(ssp_arr)
+    # held through the sort, the list would raise build's memory peak
+    del ssp_arr
+    sa, lcp = _pal_suffix_sort(codes)
+    bad = _first_refuted(codes, sa - 1, lcp)
     if bad >= 0:
         raise SelfCheckError("construction self-check failed: rows %d and "
                              "%d are not in increasing order"
                              % (bad + 1, bad + 2))
-    # held through assembly, the list would raise build's memory peak
-    del ssp_arr
+    del codes, lcp
     # the LF walk over the codes must find the sorted starts again
     try:
         idx, starts = _assemble(n, delta, k_max, pi_codes[sa],

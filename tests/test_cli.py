@@ -190,10 +190,10 @@ def test_failed_self_check_exits_3_without_an_index(tmp_path, capsys,
     from palfm import index as index_mod
     sort = index_mod._pal_suffix_sort
 
-    def swapped(ssp_arr):
-        sa = sort(ssp_arr)
+    def swapped(codes):
+        sa, lcp = sort(codes)
         sa[[2, 3]] = sa[[3, 2]]
-        return sa
+        return sa, lcp
 
     monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
     text = tmp_path / "t.txt"

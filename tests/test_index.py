@@ -184,11 +184,11 @@ def test_construction_guard(monkeypatch):
 def _swapped_sort(rows):
     sort = index_mod._pal_suffix_sort
 
-    def swapped(ssp_arr):
-        sa = sort(ssp_arr)
+    def swapped(codes):
+        sa, lcp = sort(codes)
         i, j = rows[0] - 1, rows[1] - 1
         sa[i], sa[j] = sa[j], sa[i]
-        return sa
+        return sa, lcp
 
     return swapped
 
@@ -206,8 +206,8 @@ def test_construction_self_check(monkeypatch, rows):
 
 
 def test_self_check_sees_swaps_past_its_exact_columns(monkeypatch):
-    # adjacent rows of a^300 share up to 299 columns; the check compares
-    # the first few exactly and finds the rest by fingerprints
+    # adjacent rows of a^300 share up to 299 columns; the check takes its
+    # claims from the sort, which finds most of them by fingerprints
     monkeypatch.setattr(index_mod, "_pal_suffix_sort",
                         _swapped_sort((200, 201)))
     with pytest.raises(index_mod.SelfCheckError, match="rows 200 and 201"):
@@ -245,30 +245,36 @@ def _small_text(rng, kind, n):
 
 
 def _fingerprint_order(ssp_arr, depth):
-    """The order phase 2 of the sort reaches from the groups phase 1
-    leaves after depth columns; at depth 0 all rows are one group."""
+    """The order and adjacent common prefixes phase 2 of the sort reaches
+    from the groups phase 1 leaves after depth columns; at depth 0 all
+    rows are one group."""
     codes = index_mod._ssp_codes(ssp_arr)
-    order, rows, groups, reached = index_mod._refine_by_columns(
+    order, lcp, rows, groups, reached = index_mod._refine_by_columns(
         codes, lambda col, steps: col >= depth)
     if rows.size:
-        index_mod._refine_by_fingerprints(codes, order, rows, groups,
+        index_mod._refine_by_fingerprints(codes, order, lcp, rows, groups,
                                           reached)
-    return (order + 1).tolist()
+    return (order + 1).tolist(), lcp.tolist()
 
 
 def test_pal_suffix_sort_matches_oracle_on_small_texts():
     # random texts, (a^k b)*, periodic words, Fibonacci windows and byte
     # texts of mirrored runs; phase 2 also runs alone and after 2 columns,
-    # and the certificate accepts the order
+    # every variant finds the true adjacent common prefixes, and the
+    # certificate accepts the order with them
     rng = random.Random(61)
     for i in range(2000):
         t = _small_text(rng, i % 5, rng.randint(0, 16))
         want = oracle.suffix_order_naive(t)
+        want_lcp = _common_prefixes(t, want)
         ssp_arr = palcore.ssp(t)
-        assert index_mod._first_uncertified(ssp_arr, np.array(want)) == -1, t
-        assert index_mod._pal_suffix_sort(ssp_arr).tolist() == want, t
-        assert _fingerprint_order(ssp_arr, 0) == want, t
-        assert _fingerprint_order(ssp_arr, 2) == want, t
+        codes = index_mod._ssp_codes(ssp_arr)
+        sa, lcp = index_mod._pal_suffix_sort(codes)
+        assert index_mod._first_refuted(codes, sa - 1, lcp) == -1, t
+        assert sa.tolist() == want, t
+        assert lcp.tolist() == want_lcp, t
+        assert _fingerprint_order(ssp_arr, 0) == (want, want_lcp), t
+        assert _fingerprint_order(ssp_arr, 2) == (want, want_lcp), t
 
 
 @pytest.mark.parametrize("text", [
@@ -279,10 +285,13 @@ def test_pal_suffix_sort_matches_oracle_on_small_texts():
          "mirrored-7x900"])
 def test_pal_suffix_sort_on_mid_size_repetitive_texts(text):
     want = oracle.suffix_order_naive(text)
+    want_lcp = _common_prefixes(text, want)
     ssp_arr = palcore.ssp(text)
-    assert index_mod._pal_suffix_sort(ssp_arr).tolist() == want
-    assert _fingerprint_order(ssp_arr, 0) == want
-    assert _fingerprint_order(ssp_arr, 9) == want
+    sa, lcp = index_mod._pal_suffix_sort(index_mod._ssp_codes(ssp_arr))
+    assert sa.tolist() == want
+    assert lcp.tolist() == want_lcp
+    assert _fingerprint_order(ssp_arr, 0) == (want, want_lcp)
+    assert _fingerprint_order(ssp_arr, 9) == (want, want_lcp)
 
 
 def _common_prefixes(t, order):
@@ -297,7 +306,8 @@ def _common_prefixes(t, order):
 def test_certificate_refutes_every_swap_and_lcp_edit():
     # T (all 45 swaps), the empty and one-symbol texts, and small texts of
     # all five kinds: every +-1 edit of one true common prefix and every
-    # swap of two rows fails, and the true pair passes
+    # swap of two rows fails, the swap both with the true order's claims
+    # and with its own true common prefixes, and the true pair passes
     rng = random.Random(73)
     texts = [T, "", "a"] + [_small_text(rng, i % 5, rng.randint(2, 10))
                             for i in range(250)]
@@ -315,8 +325,21 @@ def test_certificate_refutes_every_swap_and_lcp_edit():
         for i, j in itertools.combinations(range(sa.size), 2):
             swapped = sa.copy()
             swapped[[i, j]] = sa[[j, i]]
-            assert index_mod._first_uncertified(ssp_arr, swapped) >= 0, \
+            assert index_mod._first_refuted(codes, swapped - 1, lcp) >= 0, \
                 (t, i, j)
+            own = np.array(_common_prefixes(t, swapped), dtype=np.int64)
+            assert index_mod._first_refuted(codes, swapped - 1, own) >= 0, \
+                (t, i, j)
+
+
+def test_certificate_names_a_pair_out_of_order_before_a_wild_claim():
+    # a claim past the shorter suffix is refuted, not read as a pair out
+    # of order; a claim one short shows its pair equal, so not increasing
+    codes = index_mod._ssp_codes(palcore.ssp(T))
+    sa, lcp = index_mod._pal_suffix_sort(codes)
+    lcp[2] = len(T) + 1
+    lcp[5] -= 1
+    assert index_mod._first_refuted(codes, sa - 1, lcp) == 5
 
 
 def test_interval_helpers():
@@ -428,7 +451,7 @@ def test_verify_names_unsorted_rows(monkeypatch):
     # starts, so only the sorted-order check can tell
     swapped = _swapped_sort((2, 3))
     monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
-    sa = swapped(palcore.ssp(T))
+    sa, _ = swapped(index_mod._ssp_codes(palcore.ssp(T)))
     _, k, codes = index_mod._encode(T)
     bad, starts = index_mod._assemble(len(T), 2, k, codes[sa], codes[sa - 1])
     assert starts.tolist() == sa.tolist()
