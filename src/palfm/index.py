@@ -106,22 +106,26 @@ class VerifyResult:
 
 
 def _encode(text):
-    """(ssp(T), K, codes) from one palcore._profile pass over the reversed
-    text.  codes[s] is the section code of pi(T[s..]) for s in 1..n (INF
-    as K+1, K the largest group id) and DOLLAR at 0 and n+1, one byte
-    each as in the image, so for the sorted starts sa, F is codes[sa] and
-    L is codes[sa - 1]."""
+    """(ssp codes, K, pi codes) from one palcore._encoding pass over the
+    reversed text.
+
+    The ssp codes are ssp(T) as n+1 int64 codes, INF as n+2 (above every
+    finite value and every column) and DOLLAR at index n, the position
+    past the text.  pi codes[s] is the section code of pi(T[s..]) for s in
+    1..n (INF as K+1, K the largest group id) and DOLLAR at 0 and n+1, one
+    byte each as in the image, so for the sorted starts sa, F is
+    pi codes[sa] and L is pi codes[sa - 1]."""
     n = len(text)
-    codes = np.zeros(n + 2, dtype=np.uint8)
+    pi_codes = np.zeros(n + 2, dtype=np.uint8)
     if not n:
-        return [], 0, codes
-    _, ssp_arr, groups, _ = palcore._profile(text[::-1])
+        return np.zeros(1, dtype=np.int64), 0, pi_codes
+    _, codes, groups, _ = palcore._encoding(text[::-1])
     # pi(T[s..]) is sspg of the reversed text at n-s
-    pi_suf = np.array(groups[::-1], dtype=np.float64)
-    inf = np.isinf(pi_suf)
-    k = int(pi_suf[~inf].max()) if not inf.all() else 0
-    codes[1:n + 1] = np.where(inf, k + 1, pi_suf)
-    return ssp_arr, k, codes
+    pi_suf = groups[::-1]
+    inf = pi_suf > n
+    k = int(pi_suf.max(initial=0, where=~inf))
+    pi_codes[1:n + 1] = np.where(inf, k + 1, pi_suf)
+    return codes.astype(np.int64), k, pi_codes
 
 
 # -- the pal-suffix sort -------------------------------------------------
@@ -134,17 +138,6 @@ def _encode(text):
 
 # primes below 2**31: a product of two residues fits in an int64
 _MODULI = (2147483647, 2147483629)
-
-
-def _ssp_codes(ssp_arr):
-    """ssp(T) as n+1 int64 codes: INF as n+2, above every finite value and
-    every column, and DOLLAR at index n, the position past the text."""
-    n = len(ssp_arr)
-    codes = np.zeros(n + 1, dtype=np.int64)
-    vals = np.array(ssp_arr, dtype=np.float64)
-    vals[vals > n] = n + 2
-    codes[:n] = vals
-    return codes
 
 
 def _shown(codes, pos, col):
@@ -394,9 +387,9 @@ def _refine_by_fingerprints(codes, order, adjacent, rows, groups, depth):
 
 
 def _pal_suffix_sort(codes):
-    """(sa, lcp) for the _ssp_codes of a text: sa holds the starts 1..n+1
-    sorted by the ssp encodings of the suffixes, and lcp[r] the common
-    encoding prefix of rows r+1 and r+2, both as int64 arrays.
+    """(sa, lcp) for the ssp codes of a text (_encode): sa holds the
+    starts 1..n+1 sorted by the ssp encodings of the suffixes, and lcp[r]
+    the common encoding prefix of rows r+1 and r+2, both as int64 arrays.
 
     Phase 1 refines tied rows column by column; phase 2 takes over the
     groups still tied once that stops paying (see _Handover) and splits
@@ -665,8 +658,7 @@ class PalFMIndex:
             return VerifyResult(False, "definitional-lf",
                                 "text length %d does not match n = %d"
                                 % (len(text), self.n))
-        ssp_arr, k, pi_codes = _encode(text)
-        codes = _ssp_codes(ssp_arr)
+        codes, k, pi_codes = _encode(text)
         sa, lcp = _pal_suffix_sort(codes)
         bad = _first_refuted(codes, sa - 1, lcp)
         if bad >= 0:
@@ -780,10 +772,7 @@ def build(text, delta=32, force=False):
                          "(%d; a loaded index takes about 22 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
-    ssp_arr, k_max, pi_codes = _encode(text)
-    codes = _ssp_codes(ssp_arr)
-    # held through the sort, the list would raise build's memory peak
-    del ssp_arr
+    codes, k_max, pi_codes = _encode(text)
     sa, lcp = _pal_suffix_sort(codes)
     bad = _first_refuted(codes, sa - 1, lcp)
     if bad >= 0:

@@ -5,14 +5,20 @@ exactly when the same window of the other is.  The encodings here reduce that
 relation to plain equality: ssp records, for every prefix, the length of the
 shortest non-trivial suffix-palindrome, and sspg renames those lengths by
 small group identifiers so that appending a character changes at most one
-entry.  Everything in this module runs in O(n).
+entry.
 
-_profile derives ssp, sspg and the group counts of a string, and ssp of its
-reversal, from one Manacher pass.  sspg, group_counts, pattern_preprocess
-and the index's text encoder all read it; ssp, lpal and lpal_second sweep
-their own pass, and the oracle module stays the independent reference.
-Every sweep reads the palindrome lengths of its pass as they are, one
-entry per center.
+The encodings are computed on two paths, each from one Manacher pass
+(maximal_palindromes, O(n)).  Whole strings, the index's text and the
+public encoding functions, take the numpy path (_encoding and its
+parts): prefix maxima and searchsorted find the centers of the longest
+and second-longest suffix-palindromes, pointer jumping resolves the ssp
+recurrence in at most ceil(lg n) rounds, and two bincounts apply the
+group representative test; O(n log n) in all.  Patterns take the
+pure-Python path, _profile, which runs the same steps as O(m) sweeps:
+numpy's fixed cost per call exceeds a whole Python profile below about
+a hundred symbols, and queries are usually shorter.  _profile is also
+the reference the numpy path is tested against, and the oracle module
+stays the independent one.
 
 Positions are 1-based throughout; a returned list r holds the value for
 position i at r[i-1].  INF marks "no such palindrome" and compares above
@@ -22,6 +28,8 @@ with comparable elements.
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 INF = math.inf
 
@@ -67,42 +75,124 @@ def maximal_palindromes(w):
     return res
 
 
-def _suffix_pal_sweep(w):
-    """(lpal, lpal_second) for w in one left-to-right sweep.
+def _lengths(w):
+    """maximal_palindromes(w) as an int32 array."""
+    return np.array(maximal_palindromes(w), dtype=np.int32)
 
-    A suffix-palindrome of w[..i] with start a corresponds to center
-    t = a + i whose maximal palindrome reaches i, so the longest one
-    belongs to the smallest such t in [i+1..2i] and the second longest to
-    the next one.  The maximal palindrome of length L at center t ends at
-    (t + L - 1) // 2 (L = 0 included), so it ends before i exactly when
-    t + L <= 2i.  Both frontiers only ever move right: a center dropped
-    for ending before i ends before every later i as well, and the window
-    floor i+1 only grows.
+
+def _ends(lens):
+    """E(t) = (t + L - 1) >> 1 for the centers t = 2..2n of lens: where
+    the maximal palindrome of length L at t ends (L = 0 included)."""
+    ends = np.arange(1, len(lens) + 1, dtype=np.int32)
+    ends += lens
+    ends >>= 1
+    return ends
+
+
+def _suffix_pal_lengths(lens):
+    """(lpal, lpal_second) as int32 arrays for the string whose maximal
+    palindromes are lens; lpal_second is 0 or below where the second
+    longest suffix-palindrome is the empty one.
+
+    A suffix-palindrome of w[..i] with start a belongs to the center
+    t = a + i, whose maximal palindrome ends (_ends) at i or later.  A
+    center t <= i ends before i, as its palindrome starts at 1 or later.
+    So the longest belongs to the first center where the prefix maximum
+    of the ends reaches i, and the second longest to the first where the
+    prefix second maximum does: one searchsorted each, and the length is
+    2i + 1 - t.
     """
-    n = len(w)
-    lens = maximal_palindromes(w)
-    first = [0] * n
-    second = [0] * n
-    t1 = 2
-    t2 = 3
-    for i in range(1, n + 1):
-        if t1 < i + 1:
-            t1 = i + 1
-        while t1 + lens[t1 - 2] <= 2 * i:
-            t1 += 1
-        first[i - 1] = 2 * i + 1 - t1
-        if t2 < t1 + 1:
-            t2 = t1 + 1
-        while t2 <= 2 * i and t2 + lens[t2 - 2] <= 2 * i:
-            t2 += 1
-        # beyond 2i there is no center left; only the empty suffix remains
-        second[i - 1] = 2 * i + 1 - t2 if t2 <= 2 * i else 0
-    return first, second
+    n = (len(lens) + 1) // 2
+    ends = _ends(lens)
+    top = np.maximum.accumulate(ends)
+    at = np.arange(1, n + 1, dtype=np.int32)
+    # top[k] belongs to center k + 2
+    longest = 2 * at - 1
+    longest -= np.searchsorted(top, at)
+    # runner_up[k]: the second largest end through center k + 3
+    runner_up = np.minimum(ends[1:], top[:-1], out=ends[1:])
+    del top
+    np.maximum.accumulate(runner_up, out=runner_up)
+    second = 2 * at - 2
+    second -= np.searchsorted(runner_up, at)
+    return longest, second
+
+
+def _ssp_array(lens):
+    """ssp of the string whose maximal palindromes are lens, as n+1 int32
+    codes: INF as n+2, and 0 at index n, past the string.
+
+    Where the second-longest suffix-palindrome is non-trivial, ssp repeats
+    the value lpal - lpal_second positions back (see ssp).  Pointer
+    jumping follows these links to a position that holds its own value,
+    in at most ceil(lg n) rounds.
+    """
+    n = (len(lens) + 1) // 2
+    longest, second = _suffix_pal_lengths(lens)
+    out = np.zeros(n + 1, dtype=np.int32)
+    out[:n] = np.where(longest > 1, longest, n + 2)
+    jump = second > 1
+    link = np.arange(n, dtype=np.int32)
+    link[jump] -= (longest - second)[jump]
+    del longest, second
+    todo = np.flatnonzero(jump)
+    while todo.size:
+        link[todo] = link[link[todo]]
+        todo = todo[jump[link[todo]]]
+    out[:n] = out[link]
+    return out
+
+
+def _groups(lens, s, sp):
+    """(sspg, group_counts) of w as int arrays, sspg's INF as n+2, from its
+    maximal palindromes lens, and the _ssp_array s of w and sp of
+    reverse(w): the representative test of _profile over every center at
+    once, and one bincount each for the group counts and for sspg."""
+    n = len(s) - 1
+    ends = _ends(lens)
+    # w[a..j] of length L is a representative when spp of w at a-1 is
+    # above L + 1.  It is reverse(w)[n+1-j..n+1-a], so that spp is
+    # sp[n+1-a] = sp[n-j+L]; at a = 1 it is sp[n] = 0, which fails.
+    at = n - ends
+    at += lens
+    limit = sp[at]
+    del at
+    limit -= 1
+    rep = limit > lens
+    reps = np.bincount(ends[rep], minlength=n + 1)
+    # it counts towards sspg at j+1 when it is shorter than ssp there
+    # minus 1; s[n] = 0 fails, as no sspg follows n
+    limit = s[ends]
+    limit -= 1
+    rep &= limit > lens
+    del limit
+    below = np.bincount(ends[rep], minlength=n + 1)
+    groups = np.where(s[:n] > n, n + 2, below[:n] + 1)
+    counts = reps[1:]
+    counts[:-1] += s[1:n] <= n
+    counts[-1:] += 1
+    return groups, counts
+
+
+def _encoding(w):
+    """(ssp(w), ssp(reverse(w)), sspg(w), group_counts(w)) as int arrays,
+    from one Manacher pass: the first two as _ssp_array, sspg with INF as
+    n+2.  The numpy counterpart of _profile, for whole strings."""
+    lens = _lengths(w)
+    s = _ssp_array(lens)
+    # reversing mirrors the centers: reverse(w) has lens read backwards
+    sp = _ssp_array(lens[::-1])
+    return (s, sp) + _groups(lens, s, sp)
+
+
+def _with_inf(codes, n):
+    """codes as a list, INF for every code above n."""
+    return [INF if v > n else v for v in codes.tolist()]
 
 
 def lpal(w):
     """Longest suffix-palindrome length for every prefix of w."""
-    return _suffix_pal_sweep(w)[0]
+    return _suffix_pal_lengths(_lengths(w))[0].tolist()
 
 
 def lpal_second(w):
@@ -112,7 +202,7 @@ def lpal_second(w):
     exactly when the prefix has no suffix-palindrome besides the longest
     and the empty one.
     """
-    return _suffix_pal_sweep(w)[1]
+    return np.maximum(_suffix_pal_lengths(_lengths(w))[1], 0).tolist()
 
 
 def ssp(w):
@@ -124,7 +214,8 @@ def ssp(w):
     position i - lpal[i] + lpal_second[i], where the same short
     suffix-palindromes end again.
     """
-    return _ssp_sweep(maximal_palindromes(w), len(w))
+    n = len(w)
+    return _with_inf(_ssp_array(_lengths(w))[:n], n)
 
 
 def spp(w):
@@ -149,7 +240,7 @@ def group_counts(w):
     suffix-palindromes sit at the text boundary; the empty suffix (whose
     center 2n+1 is outside the maximal-palindrome range) is added directly.
     """
-    return _profile(w)[3]
+    return _encoding(w)[3].tolist()
 
 
 def sspg(w):
@@ -163,11 +254,12 @@ def sspg(w):
     palindromes w[a..i-1] passing the same representative test as in
     group_counts plus the length cut i-1-a+1 < ssp[i]-1.
     """
-    return _profile(w)[2]
+    return _with_inf(_encoding(w)[2], len(w))
 
 
 def _profile(w):
-    """(ssp(w), ssp(reverse(w)), sspg(w), group_counts(w)) in fused passes:
+    """(ssp(w), ssp(reverse(w)), sspg(w), group_counts(w)) as lists, in
+    fused pure-Python passes, for patterns (see the module docstring):
 
     - One Manacher pass over w.  Reversing mirrors the centers, so the
       maximal palindromes of reverse(w) are those of w read backwards.
@@ -243,8 +335,11 @@ def pattern_preprocess(p):
 
 def _ssp_sweep(lens, n):
     """ssp of a length-n string from the lengths of its maximal
-    palindromes (maximal_palindromes): the frontiers of _suffix_pal_sweep
-    with the ssp recurrence applied at each position.
+    palindromes (maximal_palindromes): the centers t1 and t2 of the
+    longest and second-longest suffix-palindromes (_suffix_pal_lengths)
+    as two frontiers that only move right, with the ssp recurrence
+    applied at each position.  A center dropped for ending before i ends
+    before every later i as well, and the window floor i+1 only grows.
 
     The second frontier only matters where the longest suffix-palindrome
     is non-trivial; it is caught up lazily, which is safe because every

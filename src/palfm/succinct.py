@@ -128,11 +128,13 @@ class CodeSeq:
         self._cum = self._pos = None
 
     def _build_cum(self):
-        # cum[c][i] = number of codes <= c among the first i entries
+        # cum[c][i] = number of codes <= c among the first i entries, for
+        # c below max_code: every code is at most max_code, so its row
+        # would read i, and rank and rangeCount use i itself
         arr = np.frombuffer(self._codes, dtype=np.uint8)
         le = np.zeros(self._n + 1, dtype=np.int64)
         self._cum = []
-        for c in range(self._max + 1):
+        for c in range(self._max):
             np.cumsum(arr <= c, out=le[1:])
             self._cum.append(int_list(le))
         return self._cum
@@ -185,11 +187,15 @@ class CodeSeq:
             return 0, 0
         cum = self._cum or self._build_cum()
         b -= 1
-        hi = cum[c]
+        if c < self._max:
+            hi = cum[c]
+            b_le, e_le = hi[b], hi[e]
+        else:
+            b_le, e_le = b, e
         if not c:
-            return hi[b], hi[e]
+            return b_le, e_le
         lo = cum[c - 1]
-        return hi[b] - lo[b], hi[e] - lo[e]
+        return b_le - lo[b], e_le - lo[e]
 
     def select(self, r, c):
         """Position of the r-th occurrence of code c."""
@@ -218,8 +224,11 @@ class CodeSeq:
             return 0
         cum = self._cum or self._build_cum()
         i -= 1
-        row = cum[hi]
-        cnt = row[j] - row[i]
+        if hi < self._max:
+            row = cum[hi]
+            cnt = row[j] - row[i]
+        else:
+            cnt = j - i
         if lo > 0:
             row = cum[lo - 1]
             cnt -= row[j] - row[i]

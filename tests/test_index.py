@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,11 +245,10 @@ def _small_text(rng, kind, n):
     return _mirrored_bytes(rng, n, rng.randint(1, 6))
 
 
-def _fingerprint_order(ssp_arr, depth):
+def _fingerprint_order(codes, depth):
     """The order and adjacent common prefixes phase 2 of the sort reaches
     from the groups phase 1 leaves after depth columns; at depth 0 all
     rows are one group."""
-    codes = index_mod._ssp_codes(ssp_arr)
     order, lcp, rows, groups, reached = index_mod._refine_by_columns(
         codes, lambda col, steps: col >= depth)
     if rows.size:
@@ -267,14 +267,13 @@ def test_pal_suffix_sort_matches_oracle_on_small_texts():
         t = _small_text(rng, i % 5, rng.randint(0, 16))
         want = oracle.suffix_order_naive(t)
         want_lcp = _common_prefixes(t, want)
-        ssp_arr = palcore.ssp(t)
-        codes = index_mod._ssp_codes(ssp_arr)
+        codes = index_mod._encode(t)[0]
         sa, lcp = index_mod._pal_suffix_sort(codes)
         assert index_mod._first_refuted(codes, sa - 1, lcp) == -1, t
         assert sa.tolist() == want, t
         assert lcp.tolist() == want_lcp, t
-        assert _fingerprint_order(ssp_arr, 0) == (want, want_lcp), t
-        assert _fingerprint_order(ssp_arr, 2) == (want, want_lcp), t
+        assert _fingerprint_order(codes, 0) == (want, want_lcp), t
+        assert _fingerprint_order(codes, 2) == (want, want_lcp), t
 
 
 @pytest.mark.parametrize("text", [
@@ -286,12 +285,12 @@ def test_pal_suffix_sort_matches_oracle_on_small_texts():
 def test_pal_suffix_sort_on_mid_size_repetitive_texts(text):
     want = oracle.suffix_order_naive(text)
     want_lcp = _common_prefixes(text, want)
-    ssp_arr = palcore.ssp(text)
-    sa, lcp = index_mod._pal_suffix_sort(index_mod._ssp_codes(ssp_arr))
+    codes = index_mod._encode(text)[0]
+    sa, lcp = index_mod._pal_suffix_sort(codes)
     assert sa.tolist() == want
     assert lcp.tolist() == want_lcp
-    assert _fingerprint_order(ssp_arr, 0) == (want, want_lcp)
-    assert _fingerprint_order(ssp_arr, 9) == (want, want_lcp)
+    assert _fingerprint_order(codes, 0) == (want, want_lcp)
+    assert _fingerprint_order(codes, 9) == (want, want_lcp)
 
 
 def _common_prefixes(t, order):
@@ -312,9 +311,8 @@ def test_certificate_refutes_every_swap_and_lcp_edit():
     texts = [T, "", "a"] + [_small_text(rng, i % 5, rng.randint(2, 10))
                             for i in range(250)]
     for t in texts:
-        ssp_arr = palcore.ssp(t)
         sa = np.array(oracle.suffix_order_naive(t))
-        codes = index_mod._ssp_codes(ssp_arr)
+        codes = index_mod._encode(t)[0]
         lcp = np.array(_common_prefixes(t, sa), dtype=np.int64)
         assert index_mod._first_refuted(codes, sa - 1, lcp) == -1, t
         for r, d in itertools.product(range(lcp.size), (-1, 1)):
@@ -335,7 +333,7 @@ def test_certificate_refutes_every_swap_and_lcp_edit():
 def test_certificate_names_a_pair_out_of_order_before_a_wild_claim():
     # a claim past the shorter suffix is refuted, not read as a pair out
     # of order; a claim one short shows its pair equal, so not increasing
-    codes = index_mod._ssp_codes(palcore.ssp(T))
+    codes = index_mod._encode(T)[0]
     sa, lcp = index_mod._pal_suffix_sort(codes)
     lcp[2] = len(T) + 1
     lcp[5] -= 1
@@ -390,6 +388,29 @@ def test_build_and_verify_run_one_manacher_pass(monkeypatch):
     calls.clear()
     assert idx.verify(text).ok
     assert calls == [300]
+
+
+def test_text_encoder_peaks_below_the_pattern_profile(monkeypatch):
+    # the numpy encoder holds int32 arrays where _profile holds lists of
+    # 8-byte pointers; compared in one process, so on any numpy version.
+    # Both run the same Manacher pass, which is slow under tracemalloc:
+    # it is replaced by a copy of its result, allocated as the pass does.
+    rng = random.Random(79)
+    text = bytes(rng.choice(b"acgt") for _ in range(40_000))
+    lens = {w: palcore.maximal_palindromes(w) for w in (text, text[::-1])}
+    monkeypatch.setattr(palcore, "maximal_palindromes",
+                        lambda w: list(lens[w]))
+
+    def peak(encode):
+        tracemalloc.start()
+        try:
+            encode()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: index_mod._encode(text)) \
+        <= peak(lambda: palcore._profile(text[::-1]))
 
 
 def _copy(idx):
@@ -451,8 +472,8 @@ def test_verify_names_unsorted_rows(monkeypatch):
     # starts, so only the sorted-order check can tell
     swapped = _swapped_sort((2, 3))
     monkeypatch.setattr(index_mod, "_pal_suffix_sort", swapped)
-    sa, _ = swapped(index_mod._ssp_codes(palcore.ssp(T)))
-    _, k, codes = index_mod._encode(T)
+    ssp_codes, k, codes = index_mod._encode(T)
+    sa, _ = swapped(ssp_codes)
     bad, starts = index_mod._assemble(len(T), 2, k, codes[sa], codes[sa - 1])
     assert starts.tolist() == sa.tolist()
     res = bad.verify(T)

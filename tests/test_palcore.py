@@ -239,3 +239,61 @@ def test_encodings_accept_bytes():
     assert palcore.sspg(b"babbbabb") == palcore.sspg("babbbabb")
     assert palcore.group_counts(b"ba") == palcore.group_counts("ba")
     assert palcore.pi(b"ab") == palcore.pi("ab")
+
+
+def _mirrored_runs(rng, n):
+    """Runs of 255 distinct bytes, each followed by its mirror image."""
+    out = b""
+    while len(out) < n:
+        run = bytes(rng.sample(range(256), 255))
+        out += run + run[::-1]
+    return out[:n]
+
+
+def _encoding_lists(w):
+    """palcore._encoding(w) in _profile's form: lists, INF for every code
+    above n; checks the two ssp arrays' end code on the way."""
+    n = len(w)
+    s, sp, groups, counts = palcore._encoding(w)
+    assert s[n] == sp[n] == 0
+    return (palcore._with_inf(s[:n], n), palcore._with_inf(sp[:n], n),
+            palcore._with_inf(groups, n), counts.tolist())
+
+
+def _check_encoding_against_oracle(w):
+    got = _encoding_lists(w)
+    assert got == palcore._profile(w), w
+    s, sp, groups, counts = got
+    assert s == oracle.ssp_naive(w), w
+    assert sp == oracle.ssp_naive(w[::-1]), w
+    assert groups == oracle.sspg_naive(w), w
+    assert counts == [len(g) for g, _ in oracle.groups_naive(w)], w
+
+
+def test_numpy_encoding_exhaustive_binary():
+    for n in range(0, 13):
+        for bits in range(2 ** n):
+            w = "".join("ab"[(bits >> k) & 1] for k in range(n))
+            _check_encoding_against_oracle(w)
+
+
+def test_numpy_encoding_on_random_strings():
+    rng = random.Random(37)
+    for _ in range(400):
+        n = rng.randint(0, 80)
+        letters = "abcd"[:rng.randint(1, 4)]
+        _check_encoding_against_oracle(
+            "".join(rng.choice(letters) for _ in range(n)))
+    for _ in range(100):
+        n = rng.randint(0, 300)
+        _check_encoding_against_oracle(
+            bytes(rng.randrange(256) for _ in range(n)))
+
+
+@pytest.mark.parametrize("text", [
+    "a" * 40_000, "ab" * 20_000, _fibonacci_word(40_000),
+    _mirrored_runs(random.Random(41), 40_000)],
+    ids=["a^40000", "(ab)^20000", "fibonacci-40000", "mirrored-255x40000"])
+def test_numpy_encoding_matches_profile_on_long_texts(text):
+    # the longest chains of the ssp recurrence and the widest frontiers
+    assert _encoding_lists(text) == palcore._profile(text)

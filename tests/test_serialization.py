@@ -89,7 +89,7 @@ def test_loaded_tables_hold_four_byte_entries():
     tables = [idx.lf_values, idx.S, idx.B._bits, idx.B._rank1,
               rmq._head, rmq._tail, *rmq._table, *idx.L._cum,
               *idx.F._pos.values()]
-    assert len(rmq._table) > 1 and len(idx.L._cum) == idx.K + 2
+    assert len(rmq._table) > 1 and len(idx.L._cum) == idx.K + 1
     for table in tables:
         assert type(table) is array.array and table.itemsize == 4
     assert "shared_pool_bits" not in idx.stats()
