@@ -110,11 +110,12 @@ def cmd_locate(args):
         print("error: empty pattern", file=sys.stderr)
         return 1
     positions = idx.locate(pattern)
+    # one write for all positions: no hit prints nothing in plain and a
+    # lone newline in tsv
     if args.format == "tsv":
-        print("\t".join(str(p) for p in positions))
+        sys.stdout.write("\t".join(map(str, positions)) + "\n")
     else:
-        for p in positions:
-            print(p)
+        sys.stdout.write("".join(map("{}\n".format, positions)))
     return 0
 
 

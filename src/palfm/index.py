@@ -54,6 +54,14 @@ _SEC_SAMPLES = 4
 # tables its queries build, and the F and L codes as bytes)
 BUILD_GUARD = 50_000
 
+# locate walks an interval of this many rows or more in numpy, one LF step
+# for all its rows a round (_wide_walk), and a narrower one row by row in
+# Python (_walk).  A numpy round costs 5-9 us whatever the width, and a
+# walk takes up to delta rounds, so numpy wins past about 100-130 rows at
+# delta 32, 60-100 at delta 4 and 40-60 at delta 1 (one core of a shared
+# 2-vCPU host); at delta 32 the two cost the same at this width
+_WIDE_WALK = 128
+
 
 class IndexFormatError(ValueError):
     """A serialized index image cannot be loaded."""
@@ -558,8 +566,14 @@ class PalFMIndex:
         return e - b + 1
 
     def locate(self, p):
-        """Sorted 1-based start positions of windows pal-matching p."""
+        """Sorted 1-based start positions of windows pal-matching p.
+
+        An interval of at least _WIDE_WALK rows takes all its rows one LF
+        step at a time in numpy (_wide_walk); a narrower one walks row by
+        row in Python (_walk)."""
         b, e = self._pattern_interval(p)
+        if e - b + 1 >= _WIDE_WALK:
+            return self._wide_walk(b, e)
         return sorted(self._walk(range(b, e + 1)))
 
     def sa_access(self, i):
@@ -571,7 +585,11 @@ class PalFMIndex:
     def _walk(self, rows):
         """Suffix starts of the given rows: each follows LF until a
         sampled row, at most delta steps, and adds the steps taken to the
-        sample stored there."""
+        sample stored there.
+
+        One row at a time in Python: a hit costs 0.3-0.5 us at delta 1,
+        0.5-0.8 us at delta 4 and 1.7-2.7 us at delta 32, however many
+        rows there are."""
         bits, rank1 = self.B._bits, self.B._rank1
         lf, S = self.lf_values, self.S
         span = range(self.delta + 1)
@@ -587,6 +605,35 @@ class PalFMIndex:
                                        "index is inconsistent")
             starts.append(S[rank1[j]] + steps)
         return starts
+
+    def _wide_walk(self, b, e):
+        """Sorted suffix starts of the rows [b..e], as _walk finds them,
+        but every row takes its LF step in one numpy round: a round moves
+        the rows not yet on a sampled row and counts their steps.  The
+        tables are read through zero-copy views, so nothing is held
+        between calls.
+
+        A round costs 5-9 us plus a few ns a row, and a walk takes up to
+        delta rounds, so a narrow interval pays about 0.2-0.3 ms at delta
+        32.  On 8,000 rows a hit costs 0.04 us at delta 1, 0.07-0.09 us at
+        delta 4 and 0.27-0.45 us at delta 32, 6-13 times less than in
+        _walk."""
+        bits, rank1 = np.asarray(self.B._bits), np.asarray(self.B._rank1)
+        lf = np.asarray(self.lf_values)
+        j = np.arange(b - 1, e)
+        steps = np.zeros(j.size, dtype=np.int64)
+        for _ in range(self.delta + 1):
+            live = bits[j] == 0
+            if not live.any():
+                break
+            np.copyto(j, lf[j] - 1, where=live)
+            steps += live
+        else:
+            raise IndexFormatError("sampling walk exceeded delta; "
+                                   "index is inconsistent")
+        starts = np.asarray(self.S)[rank1[j]] + steps
+        starts.sort()
+        return starts.tolist()
 
     # -- reporting -------------------------------------------------------
 

@@ -37,10 +37,15 @@ int objects; as arrays it holds 23.5 and 51.6 (tracemalloc).  An array
 read allocates the int it returns: 66 ns a read against 47 ns for a list
 and 94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU
 machine).  Counts pay that on a few reads per backward step, 5-10 % of
-a count.  The locate walk would pay it on every LF step, so it reads LF,
-BitVec._bits and BitVec._rank1 directly on 0-based rows instead of
-calling bit_at and rank: through those calls a located hit cost 3.0 us
-on arrays against 2.5 us on lists; read directly it costs 1.9 us.
+a count.  The locate walk reads LF, BitVec._bits and BitVec._rank1
+directly on 0-based rows, in one of two ways (PalFMIndex.locate).  Row by
+row in Python it pays an array read on every LF step: a hit costs 1.7-2.7
+us at delta 32 and 0.3-0.5 us at delta 1 (through bit_at and rank it
+cost 3.0 us at delta 32).  An interval of at least index._WIDE_WALK rows
+is walked in numpy instead, through zero-copy ndarray views of the same
+arrays, one LF step for all its rows a round: a round costs 5-9 us, and
+a walk takes up to delta rounds, so on 8,000 rows a hit costs 0.27-0.45
+us at delta 32 and 0.04 us at delta 1.
 """
 
 import sys

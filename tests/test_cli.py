@@ -6,6 +6,7 @@ import zlib
 import pytest
 
 from palfm import build, cli, serialize
+from palfm import index as index_mod
 from palfm.index import deserialize
 
 T = b"abbabbcbc"
@@ -47,6 +48,27 @@ def test_locate_plain_and_tsv(files, capsys):
     assert capsys.readouterr().out == "3\n6\n7\n"
     assert cli.main(["locate", str(idx), "aba", "--format", "tsv"]) == 0
     assert capsys.readouterr().out == "3\t6\t7\n"
+
+
+def test_locate_without_hits(files, capsysbinary):
+    # the pattern is longer than the text
+    _, idx = files
+    assert cli.main(["locate", str(idx), "a" * 10]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert cli.main(["locate", str(idx), "a" * 10, "--format", "tsv"]) == 0
+    assert capsysbinary.readouterr().out == b"\n"
+
+
+def test_locate_prints_every_hit_of_a_wide_interval(tmp_path, capsys):
+    idx = build(b"a" * 600, delta=32)
+    path = tmp_path / "a.idx"
+    path.write_bytes(serialize(idx))
+    want = idx.locate(b"aaaa")
+    assert len(want) == 597 >= index_mod._WIDE_WALK
+    assert cli.main(["locate", str(path), "aaaa"]) == 0
+    assert capsys.readouterr().out == "".join("%d\n" % p for p in want)
+    assert cli.main(["locate", str(path), "aaaa", "--format", "tsv"]) == 0
+    assert capsys.readouterr().out == "\t".join(map(str, want)) + "\n"
 
 
 def test_pattern_from_file_drops_one_trailing_newline(files, tmp_path,

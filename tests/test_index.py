@@ -116,6 +116,46 @@ def test_sampling_walk_is_bounded_by_delta():
         idx.sa_access(2)  # start 9
 
 
+def test_wide_walk_is_bounded_by_delta():
+    # the setup above, on a text whose 399 hits of "ab" take the numpy walk
+    idx = build("ab" * 200, delta=2)
+    idx.B = BitVec([1] + [0] * idx.n)
+    idx.S = [idx.n + 1]
+    assert idx.count("ab") >= index_mod._WIDE_WALK
+    with pytest.raises(index_mod.IndexFormatError, match="delta"):
+        idx.locate("ab")
+
+
+def _walk_text(kind, n=3000):
+    rng = random.Random(59)
+    if kind == "a^n":
+        return "a" * n
+    if kind == "(ab)^n":
+        return "ab" * (n // 2)
+    if kind == "fibonacci":
+        return _fibonacci(n)
+    return "".join(rng.choice("abcd"[:int(kind[-1])]) for _ in range(n))
+
+
+@pytest.mark.parametrize("delta", [1, 4, 32])
+@pytest.mark.parametrize("kind", ["a^n", "(ab)^n", "fibonacci", "random-2",
+                                  "random-4"])
+def test_wide_walk_matches_the_row_walk(kind, delta):
+    text = _walk_text(kind)
+    idx = build(text, delta=delta)
+    rows, wide = idx.n + 1, index_mod._WIDE_WALK
+    for width in (wide - 1, wide, wide + 1):
+        for b in (1, 2, rows // 3, rows - width + 1):
+            e = b + width - 1
+            assert idx._wide_walk(b, e) == sorted(idx._walk(range(b, e + 1)))
+    # a one-symbol pattern matches every non-empty suffix
+    b, e = idx._pattern_interval(text[:1])
+    assert (b, e) == (2, rows)
+    assert idx._wide_walk(b, e) == sorted(idx._walk(range(b, e + 1)))
+    assert idx.locate(text[:1]) == list(range(1, rows))
+    assert idx._wide_walk(1, rows) == list(range(1, rows + 1))
+
+
 def test_locate_independent_of_sampling_rate():
     rng = random.Random(47)
     t = "".join(rng.choice("ab") for _ in range(80))
