@@ -49,9 +49,11 @@ _SEC_MARKS = 3
 _SEC_SAMPLES = 4
 
 # larger texts need force=True / --force-large: a loaded index holds about
-# 22 times its image once it has answered a count and a locate (4-byte
-# arrays of LF, the range-maximum blocks, the sampling and the rank/select
-# tables its queries build, and the F and L codes as bytes)
+# 19 times its image once it has answered a count and a locate (4-byte
+# arrays of LF, the range-maximum blocks, the samples and the rank/select
+# tables its queries build, and the F, L and mark codes as bytes; 18.7
+# times by tracemalloc on random text over 4 letters, n = 40,000, delta 32,
+# Python 3.11 and numpy 2.4 on a 2-vCPU Xeon)
 BUILD_GUARD = 50_000
 
 # locate walks an interval of this many rows or more in numpy, one LF step
@@ -392,6 +394,9 @@ def _refine_by_fingerprints(codes, order, adjacent, rows, groups, depth):
         adjacent[rows[cut]] = np.minimum(lcp[cut], lcp[cut + 1])
         keep = _tied(head)
         groups, rows, known = np.cumsum(head)[keep], rows[keep], lcp[keep] + 1
+        # this round's permuted rows would otherwise stay alive through
+        # the next round's fingerprint search, the sort's memory peak
+        del group, side, lcp, mine, perm
 
 
 def _pal_suffix_sort(codes):
@@ -585,12 +590,17 @@ class PalFMIndex:
     def _walk(self, rows):
         """Suffix starts of the given rows: each follows LF until a
         sampled row, at most delta steps, and adds the steps taken to the
-        sample stored there.
+        sample stored there.  B's mark bytes say whether a row is sampled,
+        and its zero counts (built on the first walk) give a sampled
+        row's index in S: row j, 0-based, has j - zeros[j] marks before
+        it.
 
-        One row at a time in Python: a hit costs 0.3-0.5 us at delta 1,
-        0.5-0.8 us at delta 4 and 1.7-2.7 us at delta 32, however many
-        rows there are."""
-        bits, rank1 = self.B._bits, self.B._rank1
+        One row at a time in Python: a hit costs 0.15-0.18 us at delta 1,
+        0.28-0.33 us at delta 4 and 1.3-1.5 us at delta 32, however many
+        rows there are (random text over 4 letters, n = 40,000; one pinned
+        core of a shared 2-vCPU Xeon)."""
+        bits = self.B._codes
+        zeros = (self.B._cum or self.B._build_cum())[0]
         lf, S = self.lf_values, self.S
         span = range(self.delta + 1)
         starts = []
@@ -603,22 +613,24 @@ class PalFMIndex:
             else:
                 raise IndexFormatError("sampling walk exceeded delta; "
                                        "index is inconsistent")
-            starts.append(S[rank1[j]] + steps)
+            starts.append(S[j - zeros[j]] + steps)
         return starts
 
     def _wide_walk(self, b, e):
         """Sorted suffix starts of the rows [b..e], as _walk finds them,
         but every row takes its LF step in one numpy round: a round moves
-        the rows not yet on a sampled row and counts their steps.  The
-        tables are read through zero-copy views, so nothing is held
-        between calls.
+        the rows not yet on a sampled row and counts their steps.  LF, B's
+        mark bytes and zero counts and S are read through zero-copy
+        views, so nothing but the zero counts, built on the first walk as
+        in _walk, is held between calls.
 
         A round costs 5-9 us plus a few ns a row, and a walk takes up to
         delta rounds, so a narrow interval pays about 0.2-0.3 ms at delta
-        32.  On 8,000 rows a hit costs 0.04 us at delta 1, 0.07-0.09 us at
-        delta 4 and 0.27-0.45 us at delta 32, 6-13 times less than in
-        _walk."""
-        bits, rank1 = np.asarray(self.B._bits), np.asarray(self.B._rank1)
+        32.  On 8,000 rows a hit costs 0.02-0.03 us at delta 1, 0.05 us at
+        delta 4 and 0.23-0.27 us at delta 32, 5-7 times less than in
+        _walk, on the text and host _walk gives."""
+        bits = np.frombuffer(self.B._codes, np.uint8)
+        zeros = np.asarray((self.B._cum or self.B._build_cum())[0])
         lf = np.asarray(self.lf_values)
         j = np.arange(b - 1, e)
         steps = np.zeros(j.size, dtype=np.int64)
@@ -631,7 +643,7 @@ class PalFMIndex:
         else:
             raise IndexFormatError("sampling walk exceeded delta; "
                                    "index is inconsistent")
-        starts = np.asarray(self.S)[rank1[j]] + steps
+        starts = np.asarray(self.S)[j - zeros[j]] + steps
         starts.sort()
         return starts.tolist()
 
@@ -732,7 +744,8 @@ class PalFMIndex:
                                 "gives %d)" % (differ[0] + 1, self.K, k))
 
         marked = (sa - 1) % self.delta == 0
-        if _sampling_payloads(self.B._bits, self.S) \
+        marks = np.frombuffer(self.B._codes, np.uint8)
+        if _sampling_payloads(marks, self.S) \
                 != _sampling_payloads(marked, sa[marked]):
             return VerifyResult(False, "sampling",
                                 "delta marks or sample values do not match "
@@ -816,7 +829,7 @@ def build(text, delta=32, force=False):
         raise ValueError("delta must be in [1..%d]" % max(n, 1))
     if n > BUILD_GUARD and not force:
         raise ValueError("text of %d symbols exceeds the construction guard "
-                         "(%d; a loaded index takes about 22 times its "
+                         "(%d; a loaded index takes about 19 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
     codes, k_max, pi_codes = _encode(text)
@@ -856,7 +869,8 @@ def serialize(idx):
     head = MAGIC + struct.pack("<II", FORMAT_VERSION, 0)
     head += struct.pack("<QQ", idx.n, idx.delta)
     head += struct.pack("<I", idx.K)
-    marks, samples = _sampling_payloads(idx.B._bits, idx.S)
+    marks, samples = _sampling_payloads(
+        np.frombuffer(idx.B._codes, np.uint8), idx.S)
     sections = [(_SEC_L, idx.L._codes),
                 (_SEC_F, idx.F._codes),
                 (_SEC_MARKS, marks),

@@ -6,11 +6,12 @@ and rangeCount over a byte alphabet, and per-block running maxima plus a
 sparse table over block maxima give O(1) range maximum values.  A CodeSeq
 holds its codes as bytes, one per position, the same bytes an index
 image stores; its prefix counts and position lists are built on first
-use, so an index holds only the ones its queries read.  A BitVec holds
-its bits and their prefix counts, and selects by binary search over the
-counts.  The range maximum holds about two entries per value.  The index
-reports what each structure holds (held_bytes) instead of pretending to
-be entropy-compressed.
+use, so an index holds only the ones its queries read.  A BitVec is a
+CodeSeq over the codes 0 and 1, one byte a bit, whose one prefix-count
+row (the zeros) is built on first use like any other.  The range maximum
+holds about two entries per value.  The index reports what each
+structure holds (held_bytes) instead of pretending to be
+entropy-compressed.
 
 Positions are 1-based, matching the row numbering of the index; rank takes
 i in [0..n] with rank at 0 being 0.
@@ -30,27 +31,28 @@ domain.
 
 numpy builds every table, and each table with an entry per position is
 an array('i') of 4-byte entries (int_list).  A Python list costs an
-8-byte pointer per entry and an int object behind it: on random text over
-4 letters, n = 40,000, a loaded index held 84.5 bytes per row, and 140.6
-after one count and one locate, even with every list sharing one pool of
-int objects; as arrays it holds 23.5 and 51.6 (tracemalloc).  An array
-read allocates the int it returns: 66 ns a read against 47 ns for a list
-and 94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU
-machine).  Counts pay that on a few reads per backward step, 5-10 % of
-a count.  The locate walk reads LF, BitVec._bits and BitVec._rank1
+8-byte pointer per entry and an int object behind it: on random text
+over 4 letters, n = 40,000, a loaded index held 84.5 bytes per row, and
+140.6 after one count and one locate, even with every list sharing one
+pool of int objects; as arrays it held 23.5 and 51.6, and with the marks
+as one byte a row it holds 16.4 and 44.5 (tracemalloc).  An array read
+allocates the int it returns: 66 ns a read against 47 ns for a list and
+94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU machine).
+Counts pay that on a few reads per backward step, 5-10 % of a count.
+The locate walk reads LF, the mark bytes and the marks' zero counts
 directly on 0-based rows, in one of two ways (PalFMIndex.locate).  Row by
-row in Python it pays an array read on every LF step: a hit costs 1.7-2.7
-us at delta 32 and 0.3-0.5 us at delta 1 (through bit_at and rank it
-cost 3.0 us at delta 32).  An interval of at least index._WIDE_WALK rows
-is walked in numpy instead, through zero-copy ndarray views of the same
-arrays, one LF step for all its rows a round: a round costs 5-9 us, and
-a walk takes up to delta rounds, so on 8,000 rows a hit costs 0.27-0.45
-us at delta 32 and 0.04 us at delta 1.
+row in Python it pays a read on every LF step: a hit costs 1.3-1.5 us at
+delta 32 and 0.15-0.18 us at delta 1 (through bit_at and rank it cost
+3.0 us at delta 32).  An interval of at least index._WIDE_WALK rows is
+walked in numpy instead, through zero-copy ndarray views of the same
+tables, one LF step for all its rows a round: a round costs 5-9 us, and
+a walk takes up to delta rounds, so on 8,000 rows a hit costs 0.23-0.27
+us at delta 32 and 0.02-0.03 us at delta 1 (Python 3.11, numpy 2.4, one
+pinned core of a shared 2-vCPU Xeon).
 """
 
 import sys
 from array import array
-from bisect import bisect_left
 
 import numpy as np
 
@@ -70,44 +72,6 @@ def int_list(values):
 
 class QueryRangeError(ValueError):
     """A rank/select/rmq argument is outside the structure's domain."""
-
-
-class BitVec:
-    """Bit sequence with O(1) rank and O(log n) select for both bit
-    values."""
-
-    def __init__(self, bits):
-        ones = np.asarray(bits, dtype=bool)
-        self._n = len(ones)
-        self._bits = int_list(ones)
-        self._rank1 = int_list(np.concatenate(([0], np.cumsum(ones))))
-
-    def __len__(self):
-        return len(self._bits)
-
-    def held_bytes(self):
-        """Bytes of the arrays held."""
-        return sum(map(sys.getsizeof, (self._bits, self._rank1)))
-
-    def bit_at(self, i):
-        if not 0 < i <= self._n:
-            raise QueryRangeError("position %r out of range" % (i,))
-        return self._bits[i - 1]
-
-    def rank(self, i, b):
-        """Occurrences of bit b in positions [1..i]."""
-        if not 0 <= i <= len(self._bits):
-            raise QueryRangeError("rank position %r out of range" % (i,))
-        ones = self._rank1[i]
-        return ones if b else i - ones
-
-    def select(self, r, b):
-        """Position of the r-th occurrence of bit b: the first position
-        whose rank reaches r."""
-        if not 1 <= r <= self.rank(self._n, b):
-            raise QueryRangeError("select rank %r out of range" % (r,))
-        return bisect_left(range(self._n + 1), r,
-                           key=lambda i: self.rank(i, b))
 
 
 class CodeSeq:
@@ -240,6 +204,16 @@ class CodeSeq:
         return cnt
 
 
+class BitVec(CodeSeq):
+    """Bit sequence: a CodeSeq over the codes 0 and 1, one byte a bit,
+    whose rank and select tables are built on first use."""
+
+    def __init__(self, bits):
+        super().__init__(np.asarray(bits, dtype=bool).view(np.uint8), 1)
+
+    bit_at = CodeSeq.code_at
+
+
 class RmqIndex:
     """Range maximum over a fixed sequence of non-negative integers.
 
@@ -253,7 +227,7 @@ class RmqIndex:
         self._v = values
         n = self._n = len(values)
         # padding with the last value leaves every tail maximum unchanged
-        blocks = np.pad(np.asarray(values, dtype=np.int64), (0, -n % 32),
+        blocks = np.pad(np.asarray(values), (0, -n % 32),
                         mode="edge").reshape(-1, 32)
         run = np.maximum.accumulate
         self._head = int_list(run(blocks, axis=1).ravel()[:n])

@@ -9,6 +9,7 @@ import zlib
 import pytest
 
 from palfm.index import (
+    _WIDE_WALK,
     MAGIC,
     BadMagicError,
     ChecksumError,
@@ -19,6 +20,7 @@ from palfm.index import (
     deserialize,
     serialize,
 )
+from palfm.succinct import CodeSeq
 
 
 def _random_text(rng, n, sigma=3):
@@ -62,15 +64,22 @@ def test_loaded_index_builds_only_the_tables_queries_read():
     img = serialize(build(t, delta=4))
     idx = deserialize(img)
     idx.count(t[10:14])
+    # a count reads no mark
+    assert idx.B._cum is None
     idx.locate(t[20:23])
     assert idx.F._cum is None
     assert idx.L._pos is None
     assert idx.lf_rmq._v is idx.lf_values
-    # the code rows are the image's sections, and B keeps no positions
+    # the code rows are the image's sections, and B holds the marks as a
+    # CodeSeq over 0 and 1, one byte a row
     sections = dict(_sections(img))
     assert type(idx.F._codes) is bytes and idx.F._codes == sections[2]
     assert type(idx.L._codes) is bytes and idx.L._codes == sections[1]
-    assert set(vars(idx.B)) == {"_n", "_bits", "_rank1"}
+    assert isinstance(idx.B, CodeSeq)
+    assert set(vars(idx.B)) == set(vars(CodeSeq(b"", 1)))
+    marks = sections[3]
+    assert type(idx.B._codes) is bytes and idx.B._codes == bytes(
+        marks[i >> 3] >> (i & 7) & 1 for i in range(idx.n + 1))
     # built on first use, the tables answer as the codes say
     f, l = idx.F.codes(), idx.L.codes()
     for c in range(idx.K + 2):
@@ -86,13 +95,31 @@ def test_loaded_tables_hold_four_byte_entries():
     idx.count(t[100:108])
     idx.locate(t[200:206])
     rmq = idx.lf_rmq
-    tables = [idx.lf_values, idx.S, idx.B._bits, idx.B._rank1,
+    tables = [idx.lf_values, idx.S, *idx.B._cum,
               rmq._head, rmq._tail, *rmq._table, *idx.L._cum,
               *idx.F._pos.values()]
     assert len(rmq._table) > 1 and len(idx.L._cum) == idx.K + 1
     for table in tables:
         assert type(table) is array.array and table.itemsize == 4
     assert "shared_pool_bits" not in idx.stats()
+
+
+def test_first_walk_on_a_loaded_index_builds_the_mark_ranks():
+    t = _random_text(random.Random(73), 2000, sigma=2)
+    idx = build(t, delta=8)
+    img = serialize(idx)
+    narrow, wide = t[300:310], t[:2]
+    assert 1 <= idx.count(narrow) < _WIDE_WALK <= idx.count(wide)
+    # each of the three walks, reached first, builds what it reads
+    assert deserialize(img).sa_access(5) == idx.sa_access(5)
+    assert deserialize(img).locate(narrow) == idx.locate(narrow)
+    assert deserialize(img).locate(wide) == idx.locate(wide)
+    back = deserialize(img)
+    held = back.stats()["derived_bits"]["B"]
+    back.count(wide)
+    assert back.stats()["derived_bits"]["B"] == held
+    back.locate(narrow)
+    assert back.stats()["derived_bits"]["B"] > held
 
 
 def _fibonacci(n):

@@ -132,11 +132,12 @@ def test_rmq_matches_linear_scan():
             n = rng.randint(lo, hi)
             top = 30 if n <= 60 else 10 * n
             v = [rng.randint(0, top) for _ in range(n)]
-            rm = RmqIndex(v)
+            rms = RmqIndex(v), RmqIndex(int_list(v))
             for _ in range(200):
                 i = rng.randint(1, n)
                 j = rng.randint(i, n)
-                assert rm.max_value(i, j) == max(v[i - 1:j])
+                for rm in rms:
+                    assert rm.max_value(i, j) == max(v[i - 1:j])
 
 
 def test_rmq_errors():
