@@ -30,7 +30,7 @@ import struct
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,10 +58,12 @@ BUILD_GUARD = 50_000
 
 # locate walks an interval of this many rows or more in numpy, one LF step
 # for all its rows a round (_wide_walk), and a narrower one row by row in
-# Python (_walk).  A numpy round costs 5-9 us whatever the width, and a
-# walk takes up to delta rounds, so numpy wins past about 100-130 rows at
-# delta 32, 60-100 at delta 4 and 40-60 at delta 1 (one core of a shared
-# 2-vCPU host); at delta 32 the two cost the same at this width
+# Python (_walk).  A numpy round costs 3-6 us whatever the width, and a
+# walk takes up to delta rounds, so numpy wins past about 140 rows at
+# delta 32, 64 at delta 4 and 30 at delta 1 (random text over 4 letters,
+# n = 40,000; one pinned core of a shared 2-vCPU host).  At this width the
+# row walk is 6-7 % faster at delta 32, but numpy 1.8 times faster at delta
+# 4 and 3.3 times at delta 1, so the cut stays below delta 32's crossover
 _WIDE_WALK = 128
 
 
@@ -419,10 +421,10 @@ def _pal_suffix_sort(codes):
 
 
 def _first_refuted(codes, starts, lcp):
-    """Index r of the first adjacent pair of the 0-based starts (n+1
-    values in 0..n) that the claimed common prefixes lcp fail to certify,
-    or -1 when starts is a permutation and every pair (a, b) with claim l
-    passes:
+    """(r, unsorted) for the first adjacent pair r of the 0-based starts
+    (n+1 values in 0..n) that the claimed common prefixes lcp fail to
+    certify, or (-1, False) when starts is a permutation and every pair
+    (a, b) with claim l passes:
 
     (i) l is inside both suffixes, and a is below b at column l+1;
     (ii) a and b have the same events (below) at columns 2..l;
@@ -442,13 +444,17 @@ def _first_refuted(codes, starts, lcp):
     only be refuted.  This is the LCP check for suffix arrays (Burkhardt
     and Karkkainen, CPM 2003), with events for the one column in which a
     shift by one start changes a suffix.
+
+    unsorted says that the pair named fails (i)'s order: a is not below b
+    at column l+1, or starts repeats one.  A pair out of order is named
+    before any pair whose claim alone is refuted.
     """
     n = len(codes) - 1
     row_of = np.full(n + 1, -1, dtype=np.int32)
     row_of[starts] = np.arange(n + 1, dtype=np.int32)
     # n+1 starts in 0..n leave a row unset only when one repeats
     if (row_of < 0).any():
-        return 0
+        return 0, True
     a, b = starts[:-1], starts[1:]
     # a claim outside the shorter suffix is refuted, and checked as 0
     refuted = (lcp < 0) | (lcp > n - np.maximum(a, b))
@@ -465,8 +471,19 @@ def _first_refuted(codes, starts, lcp):
     ea, eb = event[a], event[b]
     refuted |= np.where(ea <= lcp, ea, 0) != np.where(eb <= lcp, eb, 0)
     # a pair out of order is named before a claim other pairs refute
-    bad = np.flatnonzero(unsorted if unsorted.any() else refuted)
-    return int(bad[0]) if bad.size else -1
+    out_of_order = bool(unsorted.any())
+    bad = np.flatnonzero(unsorted if out_of_order else refuted)
+    return (int(bad[0]), out_of_order) if bad.size else (-1, False)
+
+
+def _refutation(r, unsorted, out_of_order):
+    """What _first_refuted's (r, unsorted) says of rows r+1 and r+2: that
+    they are out of order, in the words given, or that their claimed
+    common prefix is refuted."""
+    if unsorted:
+        return "rows %d and %d %s" % (r + 1, r + 2, out_of_order)
+    return ("the common prefix claimed for rows %d and %d is refuted"
+            % (r + 1, r + 2))
 
 
 def _range_minima(vals, lo, hi):
@@ -497,6 +514,8 @@ class PalFMIndex:
     lf_rmq: RmqIndex
     B: BitVec
     S: array
+    _hop: array = field(default=None, init=False, repr=False,
+                        compare=False)
 
     # -- queries ---------------------------------------------------------
 
@@ -587,63 +606,72 @@ class PalFMIndex:
             raise ValueError("row %r out of range" % (i,))
         return self._walk((i,))[0]
 
+    def _hops(self):
+        """The one table the walks read, built on the first walk from
+        lf_values, B and S: 0-based row j holds its LF row, 0-based, when
+        unmarked, and rows + its sample value when marked, so one
+        comparison with rows tells a sampled row from the next step."""
+        rows = self.n + 1
+        hop = np.asarray(self.lf_values, dtype=np.int64) - 1
+        hop[np.frombuffer(self.B._codes, np.bool_)] = \
+            rows + np.asarray(self.S, dtype=np.int64)
+        self._hop = int_list(hop)
+        return self._hop
+
     def _walk(self, rows):
         """Suffix starts of the given rows: each follows LF until a
         sampled row, at most delta steps, and adds the steps taken to the
-        sample stored there.  B's mark bytes say whether a row is sampled,
-        and its zero counts (built on the first walk) give a sampled
-        row's index in S: row j, 0-based, has j - zeros[j] marks before
-        it.
+        sample stored there.  One read of the hop table (_hops) a step
+        both moves a row and tells whether it is sampled.
 
-        One row at a time in Python: a hit costs 0.15-0.18 us at delta 1,
-        0.28-0.33 us at delta 4 and 1.3-1.5 us at delta 32, however many
+        One row at a time in Python: a hit costs 0.11-0.13 us at delta 1,
+        0.18-0.19 us at delta 4 and 0.71-0.73 us at delta 32, however many
         rows there are (random text over 4 letters, n = 40,000; one pinned
         core of a shared 2-vCPU Xeon)."""
-        bits = self.B._codes
-        zeros = (self.B._cum or self.B._build_cum())[0]
-        lf, S = self.lf_values, self.S
+        hop = self._hop or self._hops()
+        top = self.n + 1
         span = range(self.delta + 1)
         starts = []
         for j in rows:
-            j -= 1
+            v = hop[j - 1]
             for steps in span:
-                if bits[j]:
+                if v >= top:
                     break
-                j = lf[j] - 1
+                v = hop[v]
             else:
                 raise IndexFormatError("sampling walk exceeded delta; "
                                        "index is inconsistent")
-            starts.append(S[j - zeros[j]] + steps)
+            starts.append(v - top + steps)
         return starts
 
     def _wide_walk(self, b, e):
         """Sorted suffix starts of the rows [b..e], as _walk finds them,
-        but every row takes its LF step in one numpy round: a round moves
-        the rows not yet on a sampled row and counts their steps.  LF, B's
-        mark bytes and zero counts and S are read through zero-copy
-        views, so nothing but the zero counts, built on the first walk as
-        in _walk, is held between calls.
+        but every row takes its LF step in one numpy round: a round reads
+        the hop table at every row still walking, and sets aside the rows
+        that reached a sampled row with their starts.  The table is read
+        through a zero-copy view, so nothing but the table, built on the
+        first walk as in _walk, is held between calls.
 
-        A round costs 5-9 us plus a few ns a row, and a walk takes up to
-        delta rounds, so a narrow interval pays about 0.2-0.3 ms at delta
-        32.  On 8,000 rows a hit costs 0.02-0.03 us at delta 1, 0.05 us at
-        delta 4 and 0.23-0.27 us at delta 32, 5-7 times less than in
-        _walk, on the text and host _walk gives."""
-        bits = np.frombuffer(self.B._codes, np.uint8)
-        zeros = np.asarray((self.B._cum or self.B._build_cum())[0])
-        lf = np.asarray(self.lf_values)
+        A round costs 3-6 us plus a few ns a row, and a walk takes up to
+        delta rounds, so a narrow interval pays about 0.1 ms at delta 32.
+        On 8,000 rows a hit costs 0.02 us at delta 1, 0.04 us at delta 4
+        and 0.11 us at delta 32, on the text and host _walk gives."""
+        hop = np.asarray(self._hop or self._hops())
+        top = self.n + 1
         j = np.arange(b - 1, e)
-        steps = np.zeros(j.size, dtype=np.int64)
-        for _ in range(self.delta + 1):
-            live = bits[j] == 0
-            if not live.any():
+        found = []
+        for steps in range(self.delta + 1):
+            v = hop[j]
+            on = v >= top
+            found.append(v[on] + (steps - top))
+            # an intp index spares the gather a cast of int32 rows
+            j = v[~on].astype(np.intp)
+            if not j.size:
                 break
-            np.copyto(j, lf[j] - 1, where=live)
-            steps += live
         else:
             raise IndexFormatError("sampling walk exceeded delta; "
                                    "index is inconsistent")
-        starts = np.asarray(self.S)[j - zeros[j]] + steps
+        starts = np.concatenate(found)
         starts.sort()
         return starts.tolist()
 
@@ -651,9 +679,9 @@ class PalFMIndex:
 
     def stats(self):
         """Image section sizes, the bytes each loaded component holds (a
-        table no query has built yet counts 0, and LF, which lf_rmq reads
-        from lf_values, counts once), and the index's headline
-        parameters."""
+        table no query has built yet counts 0, LF, which lf_rmq reads from
+        lf_values, counts once, and the walks' hop table counts with the
+        sampling, B), and the index's headline parameters."""
         rows = self.n + 1
         section_bits = {
             "header": (len(MAGIC) + 4 + 4 + 8 + 8 + 4) * 8,
@@ -668,7 +696,8 @@ class PalFMIndex:
             "L": self.L.held_bytes(),
             "lf_values": sys.getsizeof(self.lf_values),
             "lf_rmq": self.lf_rmq.held_bytes(),
-            "B": self.B.held_bytes(),
+            "B": self.B.held_bytes() + (0 if self._hop is None
+                                        else sys.getsizeof(self._hop)),
             "S": sys.getsizeof(self.S),
         }
         total_bits = sum(section_bits.values())
@@ -719,11 +748,11 @@ class PalFMIndex:
                                 % (len(text), self.n))
         codes, k, pi_codes = _encode(text)
         sa, lcp = _pal_suffix_sort(codes)
-        bad = _first_refuted(codes, sa - 1, lcp)
+        bad, unsorted = _first_refuted(codes, sa - 1, lcp)
         if bad >= 0:
             return VerifyResult(False, "sorted-order",
-                                "rows %d and %d are not strictly "
-                                "increasing" % (bad + 1, bad + 2))
+                                _refutation(bad, unsorted,
+                                            "are not strictly increasing"))
         # row_of[s]: the row of start s; row 1 is LF of the row of start 1
         row_of = np.ones(rows + 1, dtype=np.int64)
         row_of[sa] = np.arange(1, rows + 1)
@@ -786,12 +815,14 @@ def _assemble(n, delta, k, fcodes, lcodes):
     if bad:
         raise IndexFormatError(bad[1])
     rows = n + 1
-    lf = np.empty(rows, dtype=np.int64)
-    lf[np.argsort(lcodes, kind="stable")] = \
+    # LF is filled in place in its int32 array: an int64 copy would stay
+    # alive through RmqIndex, a load's memory peak
+    typecode = "i" if rows <= 2 ** 31 - 1 else "q"
+    lf_values = array(typecode, [0]) * rows
+    np.asarray(lf_values)[np.argsort(lcodes, kind="stable")] = \
         np.argsort(fcodes, kind="stable") + 1
-    lf_values = int_list(lf)
-    # lf is a permutation: the walk returns to row 1, after all n+1 rows
-    walk = array("i" if rows <= 2 ** 31 - 1 else "q", [0])
+    # LF is a permutation: the walk returns to row 1, after all n+1 rows
+    walk = array(typecode, [0])
     r = lf_values[0] - 1
     while r:
         walk.append(r)
@@ -834,11 +865,11 @@ def build(text, delta=32, force=False):
                          "to override" % (n, BUILD_GUARD))
     codes, k_max, pi_codes = _encode(text)
     sa, lcp = _pal_suffix_sort(codes)
-    bad = _first_refuted(codes, sa - 1, lcp)
+    bad, unsorted = _first_refuted(codes, sa - 1, lcp)
     if bad >= 0:
-        raise SelfCheckError("construction self-check failed: rows %d and "
-                             "%d are not in increasing order"
-                             % (bad + 1, bad + 2))
+        raise SelfCheckError("construction self-check failed: %s"
+                             % _refutation(bad, unsorted,
+                                           "are not in increasing order"))
     del codes, lcp
     # the LF walk over the codes must find the sorted starts again
     try:

@@ -7,9 +7,9 @@ sparse table over block maxima give O(1) range maximum values.  A CodeSeq
 holds its codes as bytes, one per position, the same bytes an index
 image stores; its prefix counts and position lists are built on first
 use, so an index holds only the ones its queries read.  A BitVec is a
-CodeSeq over the codes 0 and 1, one byte a bit, whose one prefix-count
-row (the zeros) is built on first use like any other.  The range maximum
-holds about two entries per value.  The index reports what each
+CodeSeq over the codes 0 and 1, one byte a bit; the locate walks read its
+bytes once, to build their own table, and never its prefix counts.  The
+range maximum holds about two entries per value.  The index reports what each
 structure holds (held_bytes) instead of pretending to be
 entropy-compressed.
 
@@ -39,16 +39,19 @@ as one byte a row it holds 16.4 and 44.5 (tracemalloc).  An array read
 allocates the int it returns: 66 ns a read against 47 ns for a list and
 94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU machine).
 Counts pay that on a few reads per backward step, 5-10 % of a count.
-The locate walk reads LF, the mark bytes and the marks' zero counts
-directly on 0-based rows, in one of two ways (PalFMIndex.locate).  Row by
-row in Python it pays a read on every LF step: a hit costs 1.3-1.5 us at
-delta 32 and 0.15-0.18 us at delta 1 (through bit_at and rank it cost
-3.0 us at delta 32).  An interval of at least index._WIDE_WALK rows is
-walked in numpy instead, through zero-copy ndarray views of the same
-tables, one LF step for all its rows a round: a round costs 5-9 us, and
-a walk takes up to delta rounds, so on 8,000 rows a hit costs 0.23-0.27
-us at delta 32 and 0.02-0.03 us at delta 1 (Python 3.11, numpy 2.4, one
-pinned core of a shared 2-vCPU Xeon).
+The locate walk reads none of this module's tables: on its first walk the
+index merges LF, the marks and the samples into one hop table
+(PalFMIndex._hops) of 4-byte entries, a row's LF row or, on a sampled
+row, the row count plus its sample, so an LF step is one read, in one of
+two ways (PalFMIndex.locate).  Row by row in Python a hit costs
+0.71-0.73 us at delta 32 and 0.11-0.13 us at delta 1; reading LF, the
+mark bytes and the marks' zero counts apart it cost 1.2 and 0.15-0.2 us,
+and through bit_at and rank 3.0 us at delta 32.  An interval of at least
+index._WIDE_WALK rows is walked in numpy instead, through a zero-copy
+ndarray view of the table, one LF step for all its rows still walking a
+round: a round costs 3-6 us, and a walk takes up to delta rounds, so on
+8,000 rows a hit costs 0.10-0.11 us at delta 32 and 0.02 us at delta 1
+(Python 3.11, numpy 2.4, one pinned core of a shared 2-vCPU Xeon).
 """
 
 import sys

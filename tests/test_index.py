@@ -156,6 +156,27 @@ def test_wide_walk_matches_the_row_walk(kind, delta):
     assert idx._wide_walk(1, rows) == list(range(1, rows + 1))
 
 
+@pytest.mark.parametrize("delta", [1, 4, 32])
+@pytest.mark.parametrize("kind", ["a^n", "(ab)^n", "fibonacci", "random-2",
+                                  "random-4"])
+def test_hop_table_leads_every_row_to_its_start(kind, delta):
+    # followed by hand, the table gives the sorted starts, each within
+    # delta - 1 steps of its sample; nothing else is read
+    text = _walk_text(kind, 1000)
+    idx = build(text, delta=delta)
+    sa = index_mod._pal_suffix_sort(index_mod._encode(text)[0])[0].tolist()
+    hop, rows = idx._hops(), idx.n + 1
+    starts = []
+    for j in range(rows):
+        v, steps = hop[j], 0
+        while v < rows:
+            v, steps = hop[v], steps + 1
+        assert steps < delta
+        starts.append(v - rows + steps)
+    assert starts == sa
+    assert idx._walk(range(1, rows + 1)) == sa
+
+
 def test_locate_independent_of_sampling_rate():
     rng = random.Random(47)
     t = "".join(rng.choice("ab") for _ in range(80))
@@ -255,6 +276,26 @@ def test_self_check_sees_swaps_past_its_exact_columns(monkeypatch):
         build("a" * 300, delta=2)
 
 
+def test_self_check_names_a_refuted_claim_apart_from_disorder(monkeypatch):
+    # the true order of a^300 with one claim one too long: the pair is in
+    # order, so build and verify say the claim is refuted, not the order
+    sort = index_mod._pal_suffix_sort
+
+    def overclaimed(codes):
+        sa, lcp = sort(codes)
+        lcp[199] += 1
+        return sa, lcp
+
+    idx = build("a" * 300, delta=2)
+    monkeypatch.setattr(index_mod, "_pal_suffix_sort", overclaimed)
+    detail = "the common prefix claimed for rows 200 and 201 is refuted"
+    with pytest.raises(index_mod.SelfCheckError) as err:
+        build("a" * 300, delta=2)
+    assert str(err.value) == "construction self-check failed: " + detail
+    res = idx.verify("a" * 300)
+    assert (res.violation, res.detail) == ("sorted-order", detail)
+
+
 def _fibonacci(n):
     a, b = "a", "ab"
     while len(b) < n:
@@ -309,7 +350,7 @@ def test_pal_suffix_sort_matches_oracle_on_small_texts():
         want_lcp = _common_prefixes(t, want)
         codes = index_mod._encode(t)[0]
         sa, lcp = index_mod._pal_suffix_sort(codes)
-        assert index_mod._first_refuted(codes, sa - 1, lcp) == -1, t
+        assert index_mod._first_refuted(codes, sa - 1, lcp) == (-1, False), t
         assert sa.tolist() == want, t
         assert lcp.tolist() == want_lcp, t
         assert _fingerprint_order(codes, 0) == (want, want_lcp), t
@@ -354,19 +395,19 @@ def test_certificate_refutes_every_swap_and_lcp_edit():
         sa = np.array(oracle.suffix_order_naive(t))
         codes = index_mod._encode(t)[0]
         lcp = np.array(_common_prefixes(t, sa), dtype=np.int64)
-        assert index_mod._first_refuted(codes, sa - 1, lcp) == -1, t
+        assert index_mod._first_refuted(codes, sa - 1, lcp) == (-1, False), t
         for r, d in itertools.product(range(lcp.size), (-1, 1)):
             edited = lcp.copy()
             edited[r] += d
-            assert index_mod._first_refuted(codes, sa - 1, edited) >= 0, \
+            assert index_mod._first_refuted(codes, sa - 1, edited)[0] >= 0, \
                 (t, r, d)
         for i, j in itertools.combinations(range(sa.size), 2):
             swapped = sa.copy()
             swapped[[i, j]] = sa[[j, i]]
-            assert index_mod._first_refuted(codes, swapped - 1, lcp) >= 0, \
+            assert index_mod._first_refuted(codes, swapped - 1, lcp)[0] >= 0, \
                 (t, i, j)
             own = np.array(_common_prefixes(t, swapped), dtype=np.int64)
-            assert index_mod._first_refuted(codes, swapped - 1, own) >= 0, \
+            assert index_mod._first_refuted(codes, swapped - 1, own)[0] >= 0, \
                 (t, i, j)
 
 
@@ -377,7 +418,7 @@ def test_certificate_names_a_pair_out_of_order_before_a_wild_claim():
     sa, lcp = index_mod._pal_suffix_sort(codes)
     lcp[2] = len(T) + 1
     lcp[5] -= 1
-    assert index_mod._first_refuted(codes, sa - 1, lcp) == 5
+    assert index_mod._first_refuted(codes, sa - 1, lcp) == (5, True)
 
 
 def test_interval_helpers():

@@ -95,7 +95,7 @@ def test_loaded_tables_hold_four_byte_entries():
     idx.count(t[100:108])
     idx.locate(t[200:206])
     rmq = idx.lf_rmq
-    tables = [idx.lf_values, idx.S, *idx.B._cum,
+    tables = [idx.lf_values, idx.S, idx._hop,
               rmq._head, rmq._tail, *rmq._table, *idx.L._cum,
               *idx.F._pos.values()]
     assert len(rmq._table) > 1 and len(idx.L._cum) == idx.K + 1
@@ -120,6 +120,26 @@ def test_first_walk_on_a_loaded_index_builds_the_mark_ranks():
     assert back.stats()["derived_bits"]["B"] == held
     back.locate(narrow)
     assert back.stats()["derived_bits"]["B"] > held
+
+
+def test_first_walk_builds_the_hop_table_and_a_count_none():
+    t = _random_text(random.Random(73), 2000, sigma=2)
+    img = serialize(build(t, delta=8))
+    narrow, wide = t[300:310], t[:2]
+    for first in (lambda idx: idx.sa_access(5),
+                  lambda idx: idx.locate(narrow),
+                  lambda idx: idx.locate(wide)):
+        idx = deserialize(img)
+        assert 1 <= idx.count(narrow) < _WIDE_WALK <= idx.count(wide)
+        assert idx._hop is None
+        first(idx)
+        # unmarked rows hold their LF row, marked rows rows + their sample,
+        # and no walk builds B's zero counts any more
+        rows, samples = idx.n + 1, iter(idx.S)
+        assert list(idx._hop) == [rows + next(samples) if mark else lf - 1
+                                  for mark, lf in zip(idx.B._codes,
+                                                      idx.lf_values)]
+        assert idx.B._cum is None
 
 
 def _fibonacci(n):
