@@ -15,7 +15,7 @@ import time
 
 from . import index as index_mod
 from . import oracle, palcore
-from .index import IndexFormatError
+from .index import IndexFormatError, SelfCheckError
 from .palcore import INF
 
 
@@ -72,14 +72,7 @@ def cmd_build(args):
     text = _read_text(args.text, args.strip_newlines)
     delta = _effective_delta(args.delta, len(text))
     t0 = time.perf_counter()
-    try:
-        idx = index_mod.build(text, delta=delta, force=args.force_large)
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except index_mod.SelfCheckError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
+    idx = index_mod.build(text, delta=delta, force=args.force_large)
     seconds = time.perf_counter() - t0
     image = index_mod.serialize(idx)
     with open(args.index, "wb") as fh:
@@ -95,21 +88,13 @@ def cmd_build(args):
 
 def cmd_count(args):
     idx = _load_index(args.index)
-    pattern = _read_pattern(args.pattern)
-    if not pattern:
-        print("error: empty pattern", file=sys.stderr)
-        return 1
-    print(idx.count(pattern))
+    print(idx.count(_read_pattern(args.pattern)))
     return 0
 
 
 def cmd_locate(args):
     idx = _load_index(args.index)
-    pattern = _read_pattern(args.pattern)
-    if not pattern:
-        print("error: empty pattern", file=sys.stderr)
-        return 1
-    positions = idx.locate(pattern)
+    positions = idx.locate(_read_pattern(args.pattern))
     # one write for all positions: no hit prints nothing in plain and a
     # lone newline in tsv
     if args.format == "tsv":
@@ -135,22 +120,13 @@ def cmd_encode(args):
 
 
 def cmd_stats(args):
-    idx = _load_index(args.index)
-    st = idx.stats()
-    pairs = [
-        ("n", st["n"]),
-        ("rows", st["rows"]),
-        ("delta", st["delta"]),
-        ("K", st["K"]),
-        ("samples", st["samples"]),
-        ("total_bits", st["total_bits"]),
-        ("bits_per_symbol", "%.2f" % st["bits_per_symbol"]),
-    ]
-    pairs += [("section_bits.%s" % k, v)
-              for k, v in sorted(st["section_bits"].items())]
-    pairs += [("derived_bits.%s" % k, v)
-              for k, v in sorted(st["derived_bits"].items())]
-    _emit_pairs(pairs, args.format)
+    st = _load_index(args.index).stats()
+    st["bits_per_symbol"] = "%.2f" % st["bits_per_symbol"]
+    tables = [k for k, v in st.items() if isinstance(v, dict)]
+    _emit_pairs([(k, v) for k, v in st.items() if k not in tables]
+                + [("%s.%s" % (t, k), v)
+                   for t in tables for k, v in sorted(st[t].items())],
+                args.format)
     return 0
 
 
@@ -248,15 +224,12 @@ def main(argv=None):
         return 0 if e.code in (0, None) else int(e.code)
     try:
         return args.func(args)
-    except OSError as e:
+    except (OSError, ValueError, SelfCheckError) as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
-    except IndexFormatError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+        # an IndexFormatError is a ValueError, but a load failure
+        if isinstance(e, (OSError, IndexFormatError)):
+            return 2
+        return 3 if isinstance(e, SelfCheckError) else 1
 
 
 if __name__ == "__main__":

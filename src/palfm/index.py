@@ -48,6 +48,15 @@ _SEC_F = 2
 _SEC_MARKS = 3
 _SEC_SAMPLES = 4
 
+# the v1 image: the header (magic, version, flags, n, delta, K), each
+# section as its header (tag, payload length) and payload, then the crc32
+# of all that precedes it; stats() names the sections as below
+_HEADER = struct.Struct("<8sIIQQI")
+_SECTION = struct.Struct("<IQ")
+_CRC = struct.Struct("<I")
+_SECTION_NAMES = {_SEC_L: "l_codes", _SEC_F: "f_codes",
+                  _SEC_MARKS: "sample_marks", _SEC_SAMPLES: "sample_values"}
+
 # larger texts need force=True / --force-large: a loaded index holds about
 # 19 times its image once it has answered a count and a locate (4-byte
 # arrays of LF, the range-maximum blocks, the samples and the rank/select
@@ -486,6 +495,15 @@ def _refutation(r, unsorted, out_of_order):
             % (r + 1, r + 2))
 
 
+def _certified_order(text):
+    """(K, pi codes, sa, verdict): _encode's K and pi codes, the sorted
+    starts sa from _pal_suffix_sort, and _first_refuted's (r, unsorted)
+    on them with the common prefixes the sort claims."""
+    codes, k, pi_codes = _encode(text)
+    sa, lcp = _pal_suffix_sort(codes)
+    return k, pi_codes, sa, _first_refuted(codes, sa - 1, lcp)
+
+
 def _range_minima(vals, lo, hi):
     """min(vals[lo[i]:hi[i]]) for every i, lo < hi, offline in int32: one
     buffer holds the minima of the windows of length 2**k, one level k at
@@ -682,15 +700,11 @@ class PalFMIndex:
         table no query has built yet counts 0, LF, which lf_rmq reads from
         lf_values, counts once, and the walks' hop table counts with the
         sampling, B), and the index's headline parameters."""
-        rows = self.n + 1
-        section_bits = {
-            "header": (len(MAGIC) + 4 + 4 + 8 + 8 + 4) * 8,
-            "l_codes": (12 + rows) * 8,
-            "f_codes": (12 + rows) * 8,
-            "sample_marks": (12 + (rows + 7) // 8) * 8,
-            "sample_values": (12 + 8 * len(self.S)) * 8,
-            "checksum": 32,
-        }
+        section_bits = {"header": _HEADER.size * 8}
+        for tag, payload in _sections(self):
+            section_bits[_SECTION_NAMES[tag]] = \
+                (_SECTION.size + len(payload)) * 8
+        section_bits["checksum"] = _CRC.size * 8
         held_bytes = {
             "F": self.F.held_bytes(),
             "L": self.L.held_bytes(),
@@ -703,7 +717,7 @@ class PalFMIndex:
         total_bits = sum(section_bits.values())
         return {
             "n": self.n,
-            "rows": rows,
+            "rows": self.n + 1,
             "delta": self.delta,
             "K": self.K,
             "samples": len(self.S),
@@ -746,9 +760,7 @@ class PalFMIndex:
             return VerifyResult(False, "definitional-lf",
                                 "text length %d does not match n = %d"
                                 % (len(text), self.n))
-        codes, k, pi_codes = _encode(text)
-        sa, lcp = _pal_suffix_sort(codes)
-        bad, unsorted = _first_refuted(codes, sa - 1, lcp)
+        k, pi_codes, sa, (bad, unsorted) = _certified_order(text)
         if bad >= 0:
             return VerifyResult(False, "sorted-order",
                                 _refutation(bad, unsorted,
@@ -774,8 +786,8 @@ class PalFMIndex:
 
         marked = (sa - 1) % self.delta == 0
         marks = np.frombuffer(self.B._codes, np.uint8)
-        if _sampling_payloads(marks, self.S) \
-                != _sampling_payloads(marked, sa[marked]):
+        if not (np.array_equal(marks, marked)
+                and np.array_equal(self.S, sa[marked])):
             return VerifyResult(False, "sampling",
                                 "delta marks or sample values do not match "
                                 "the suffix order")
@@ -863,14 +875,11 @@ def build(text, delta=32, force=False):
                          "(%d; a loaded index takes about 19 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
-    codes, k_max, pi_codes = _encode(text)
-    sa, lcp = _pal_suffix_sort(codes)
-    bad, unsorted = _first_refuted(codes, sa - 1, lcp)
+    k_max, pi_codes, sa, (bad, unsorted) = _certified_order(text)
     if bad >= 0:
         raise SelfCheckError("construction self-check failed: %s"
                              % _refutation(bad, unsorted,
                                            "are not in increasing order"))
-    del codes, lcp
     # the LF walk over the codes must find the sorted starts again
     try:
         idx, starts = _assemble(n, delta, k_max, pi_codes[sa],
@@ -886,30 +895,25 @@ def build(text, delta=32, force=False):
 # -- persistence ---------------------------------------------------------
 
 
-def _sampling_payloads(marked, samples):
-    """(mark section, sample section) payloads: the 0/1 row marks packed
-    eight to a byte, and the sample values."""
-    return (np.packbits(marked, bitorder="little").tobytes(),
-            np.asarray(samples, dtype="<u8").tobytes())
+def _sections(idx):
+    """The image's (tag, payload) sections in order: the codes L and F
+    hold, the 0/1 row marks packed eight to a byte, and the sample
+    values."""
+    marks = np.frombuffer(idx.B._codes, np.uint8)
+    return [(_SEC_L, idx.L._codes),
+            (_SEC_F, idx.F._codes),
+            (_SEC_MARKS, np.packbits(marks, bitorder="little").tobytes()),
+            (_SEC_SAMPLES, np.asarray(idx.S, dtype="<u8").tobytes())]
 
 
 def serialize(idx):
     """Little-endian image: magic, version, flags, n, delta, K, tagged
     sections (L codes, F codes, packed marks, sample values), crc32.
     The code sections are the bytes F and L hold."""
-    head = MAGIC + struct.pack("<II", FORMAT_VERSION, 0)
-    head += struct.pack("<QQ", idx.n, idx.delta)
-    head += struct.pack("<I", idx.K)
-    marks, samples = _sampling_payloads(
-        np.frombuffer(idx.B._codes, np.uint8), idx.S)
-    sections = [(_SEC_L, idx.L._codes),
-                (_SEC_F, idx.F._codes),
-                (_SEC_MARKS, marks),
-                (_SEC_SAMPLES, samples)]
-    body = b"".join(struct.pack("<IQ", tag, len(payload)) + payload
-                    for tag, payload in sections)
-    image = head + body
-    return image + struct.pack("<I", zlib.crc32(image) & 0xFFFFFFFF)
+    image = _HEADER.pack(MAGIC, FORMAT_VERSION, 0, idx.n, idx.delta, idx.K)
+    image += b"".join(_SECTION.pack(tag, len(payload)) + payload
+                      for tag, payload in _sections(idx))
+    return image + _CRC.pack(zlib.crc32(image))
 
 
 def deserialize(data):
@@ -924,37 +928,33 @@ def deserialize(data):
         raise TruncatedError("image shorter than the magic")
     if data[:len(MAGIC)] != MAGIC:
         raise BadMagicError("not an index image")
-    fixed = len(MAGIC) + 4 + 4 + 8 + 8 + 4
-    if len(data) < fixed + 4:
+    if len(data) < _HEADER.size + _CRC.size:
         raise TruncatedError("image shorter than its fixed header")
-    version, flags = struct.unpack_from("<II", data, len(MAGIC))
+    _, version, flags, n, delta, k_max = _HEADER.unpack_from(data)
     if version != FORMAT_VERSION or flags != 0:
         raise VersionError("unsupported version %d / flags %#x"
                            % (version, flags))
-    n, delta = struct.unpack_from("<QQ", data, len(MAGIC) + 8)
-    (k_max,) = struct.unpack_from("<I", data, len(MAGIC) + 24)
-    stored = struct.unpack_from("<I", data, len(data) - 4)[0]
-    actual = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    end = len(data) - _CRC.size
+    (stored,) = _CRC.unpack_from(data, end)
     sections = []
-    off = fixed
-    end = len(data) - 4
+    off = _HEADER.size
     while off < end:
-        if off + 12 > end:
+        if off + _SECTION.size > end:
             raise TruncatedError("section header runs past the image")
-        tag, length = struct.unpack_from("<IQ", data, off)
-        off += 12
+        tag, length = _SECTION.unpack_from(data, off)
+        off += _SECTION.size
         if off + length > end:
             raise TruncatedError("section %d runs past the image" % tag)
         sections.append((tag, bytes(data[off:off + length])))
         off += length
-    if stored != actual:
+    if stored != zlib.crc32(data[:end]):
         raise ChecksumError("checksum mismatch")
     payloads = dict(sections)
-    missing = {_SEC_L, _SEC_F, _SEC_MARKS, _SEC_SAMPLES} - set(payloads)
+    missing = set(_SECTION_NAMES) - set(payloads)
     if missing:
         raise IndexFormatError("missing sections %s" % sorted(missing))
     # all four are there, so any further section is unknown or repeated
-    if len(sections) > 4:
+    if len(sections) > len(_SECTION_NAMES):
         raise IndexFormatError("unknown or repeated sections")
     lbytes, fbytes = payloads[_SEC_L], payloads[_SEC_F]
     rows = n + 1
@@ -967,10 +967,8 @@ def deserialize(data):
                                "declared alphabet")
     if not 1 <= delta <= max(n, 1):
         raise IndexFormatError("delta outside [1..max(n,1)]")
-    idx, starts = _assemble(n, delta, k_max, fbytes, lbytes)
-    marked = (starts - 1) % delta == 0
-    if (payloads[_SEC_MARKS], payloads[_SEC_SAMPLES]) \
-            != _sampling_payloads(marked, starts[marked]):
+    idx = _assemble(n, delta, k_max, fbytes, lbytes)[0]
+    if payloads != dict(_sections(idx)):
         raise IndexFormatError("mark or sample section differs from the "
                                "sampling the LF walk derives")
     return idx

@@ -30,28 +30,26 @@ Each checks its arguments once and raises QueryRangeError outside its
 domain.
 
 numpy builds every table, and each table with an entry per position is
-an array('i') of 4-byte entries (int_list).  A Python list costs an
-8-byte pointer per entry and an int object behind it: on random text
-over 4 letters, n = 40,000, a loaded index held 84.5 bytes per row, and
-140.6 after one count and one locate, even with every list sharing one
-pool of int objects; as arrays it held 23.5 and 51.6, and with the marks
-as one byte a row it holds 16.4 and 44.5 (tracemalloc).  An array read
-allocates the int it returns: 66 ns a read against 47 ns for a list and
-94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU machine).
-Counts pay that on a few reads per backward step, 5-10 % of a count.
+an array('i') of 4-byte entries (int_list), where a Python list would
+cost an 8-byte pointer per entry and an int object behind it.  On random
+text over 4 letters, n = 40,000, a loaded index holds 16.4 bytes per
+row, and 44.5 after one count and one locate (tracemalloc).  An array
+read allocates the int it returns: 66 ns a read against 47 ns for a list
+and 94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU
+machine).  Counts pay that on a few reads per backward step, 5-10 % of a
+count.
 The locate walk reads none of this module's tables: on its first walk the
 index merges LF, the marks and the samples into one hop table
 (PalFMIndex._hops) of 4-byte entries, a row's LF row or, on a sampled
 row, the row count plus its sample, so an LF step is one read, in one of
 two ways (PalFMIndex.locate).  Row by row in Python a hit costs
-0.71-0.73 us at delta 32 and 0.11-0.13 us at delta 1; reading LF, the
-mark bytes and the marks' zero counts apart it cost 1.2 and 0.15-0.2 us,
-and through bit_at and rank 3.0 us at delta 32.  An interval of at least
-index._WIDE_WALK rows is walked in numpy instead, through a zero-copy
-ndarray view of the table, one LF step for all its rows still walking a
-round: a round costs 3-6 us, and a walk takes up to delta rounds, so on
-8,000 rows a hit costs 0.10-0.11 us at delta 32 and 0.02 us at delta 1
-(Python 3.11, numpy 2.4, one pinned core of a shared 2-vCPU Xeon).
+0.71-0.73 us at delta 32 and 0.11-0.13 us at delta 1.  An interval of at
+least index._WIDE_WALK rows is walked in numpy instead, through a
+zero-copy ndarray view of the table, one LF step for all its rows still
+walking a round: a round costs 3-6 us, and a walk takes up to delta
+rounds, so on 8,000 rows a hit costs 0.10-0.11 us at delta 32 and 0.02 us
+at delta 1 (Python 3.11, numpy 2.4, one pinned core of a shared 2-vCPU
+Xeon).
 """
 
 import sys

@@ -111,6 +111,30 @@ def test_stats_reports_key_value_lines(files, capsys):
     assert "section_bits.l_codes " in out
 
 
+@pytest.mark.parametrize("fmt", ["plain", "tsv"])
+def test_stats_prints_every_key_in_order(files, capsys, fmt):
+    _, idx = files
+    assert cli.main(["stats", str(idx), "--format", fmt]) == 0
+    sep = "\t" if fmt == "tsv" else " "
+    pairs = [line.split(sep) for line in
+             capsys.readouterr().out.splitlines()]
+    assert all(len(pair) == 2 for pair in pairs)
+    assert [key for key, _ in pairs] == [
+        "n", "rows", "delta", "K", "samples", "total_bits",
+        "bits_per_symbol",
+        "section_bits.checksum", "section_bits.f_codes",
+        "section_bits.header", "section_bits.l_codes",
+        "section_bits.sample_marks", "section_bits.sample_values",
+        "derived_bits.B", "derived_bits.F", "derived_bits.L",
+        "derived_bits.S", "derived_bits.lf_rmq", "derived_bits.lf_values",
+    ]
+    values = dict(pairs)
+    assert (values["n"], values["rows"], values["delta"]) == ("9", "10", "2")
+    assert values["total_bits"] == str(8 * len(idx.read_bytes()))
+    assert values["bits_per_symbol"] == "%.2f" % (
+        8 * len(idx.read_bytes()) / 9)
+
+
 def test_verify_clean_pair(files, capsys):
     text, idx = files
     assert cli.main(["verify", str(idx), str(text)]) == 0
@@ -155,8 +179,9 @@ def test_missing_files_exit_2(tmp_path, capsys):
 
 def test_empty_pattern_exits_1(files, capsys):
     _, idx = files
-    assert cli.main(["count", str(idx), ""]) == 1
-    assert cli.main(["locate", str(idx), ""]) == 1
+    for command in ("count", "locate"):
+        assert cli.main([command, str(idx), ""]) == 1
+        assert capsys.readouterr().err == "error: empty pattern\n"
 
 
 def test_usage_errors_exit_1(capsys):

@@ -320,6 +320,23 @@ def test_section_table_lists_each_known_section_once(edit):
     assert not isinstance(err.value, ChecksumError)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize("delta", [1, 7, 32])
+def test_stats_section_sizes_are_the_image_sections(n, delta):
+    # delta is clamped to the text length, as the CLI does
+    t = _random_text(random.Random(n), n, sigma=4)
+    idx = build(t, delta=min(delta, max(n, 1)))
+    img = serialize(idx)
+    names = {1: "l_codes", 2: "f_codes", 3: "sample_marks",
+             4: "sample_values"}
+    want = {"header": 36 * 8, "checksum": 4 * 8}
+    want.update((names[tag], 8 * (12 + len(payload)))
+                for tag, payload in _sections(img))
+    st = idx.stats()
+    assert st["section_bits"] == want
+    assert st["total_bits"] == 8 * len(img)
+
+
 def test_code_outside_declared_alphabet_is_reported():
     idx = build("ab", delta=1)
     img = bytearray(serialize(idx))
