@@ -575,7 +575,7 @@ class PalFMIndex:
                 # finite group id no text suffix ever takes; its section
                 # code would collide with INF's, so answer before encoding
                 return 1, 0
-            before, through = self.L.rank_pair(b, e, pi_cw)
+            before, through = self.L.rank_pair(b, e, pi_cw, pi_cw)
             if through == before:
                 return 1, 0
             return self.F.select_pair(before + 1, through, pi_cw)
@@ -583,7 +583,8 @@ class PalFMIndex:
         # and they map to the top of the LF image of [b..e].  INF rows
         # qualify whatever g is, so the lower cut clamps to the INF code.
         hi = self.K + 1
-        cnt = self.L.range_count(b, e, g + 1 if g < hi else hi, hi)
+        before, through = self.L.rank_pair(b, e, g + 1 if g < hi else hi, hi)
+        cnt = through - before
         if cnt == 0:
             return 1, 0
         top = self.lf_rmq.max_value(b, e)
@@ -593,10 +594,9 @@ class PalFMIndex:
         """Rows (b, e) whose suffixes pal-match p; (1, 0) when none."""
         if len(p) == 0:
             raise ValueError("empty pattern")
-        prof = palcore.pattern_preprocess(p)
         step = self._step
         b, e = 1, self.n + 1
-        for pi_cw, g in zip(reversed(prof.pi_arr), reversed(prof.g_arr)):
+        for pi_cw, g in zip(*palcore._search_profile(p)):
             b, e = step(b, e, pi_cw, g)
             if b > e:
                 break
@@ -828,11 +828,14 @@ def _assemble(n, delta, k, fcodes, lcodes):
         raise IndexFormatError(bad[1])
     rows = n + 1
     # LF is filled in place in its int32 array: an int64 copy would stay
-    # alive through RmqIndex, a load's memory peak
+    # alive through RmqIndex, a load's memory peak; the 1 is added in
+    # place too, sparing a third 8 B/row temporary beside the argsorts
     typecode = "i" if rows <= 2 ** 31 - 1 else "q"
     lf_values = array(typecode, [0]) * rows
-    np.asarray(lf_values)[np.argsort(lcodes, kind="stable")] = \
-        np.argsort(fcodes, kind="stable") + 1
+    order = np.argsort(fcodes, kind="stable")
+    order += 1
+    np.asarray(lf_values)[np.argsort(lcodes, kind="stable")] = order
+    del order
     # LF is a permutation: the walk returns to row 1, after all n+1 rows
     walk = array(typecode, [0])
     r = lf_values[0] - 1

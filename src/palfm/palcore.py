@@ -319,18 +319,27 @@ class PatternProfile:
 
 
 def pattern_preprocess(p):
-    """PatternProfile for pattern p, read backwards off _profile of the
-    reversed pattern r: one Manacher pass for the whole pattern.
-
-    pi(P[i..]) is sspg of r at position m+1-i, and the prefix-palindrome
-    groups of P[i+1..] are the suffix-palindrome groups of r[..m-i].
-    """
-    m = len(p)
-    if m == 0:
+    """PatternProfile for pattern p: _search_profile's lists read
+    backwards, so that index i-1 holds position i of P."""
+    if len(p) == 0:
         raise ValueError("empty pattern")
+    pis, gs = _search_profile(p)
+    return PatternProfile(pi_arr=tuple(reversed(pis)),
+                          g_arr=tuple(reversed(gs)))
+
+
+def _search_profile(p):
+    """(pi, g) lists of a non-empty pattern p in the order backward search
+    takes its steps, last symbol first, off _profile of the reversed
+    pattern r: one Manacher pass for the whole pattern.
+
+    Step k (0-based) extends the suffix P[m-k+1..] by P[m-k]: pi of the
+    extended suffix is sspg of r at position k+1, and the prefix-palindrome
+    groups of the old suffix are the suffix-palindrome groups of r[..k],
+    none at k = 0.
+    """
     _, _, groups, counts = _profile(p[::-1])
-    return PatternProfile(pi_arr=tuple(reversed(groups)),
-                          g_arr=tuple(reversed(counts[:-1])) + (0,))
+    return groups, [0] + counts[:-1]
 
 
 def _ssp_sweep(lens, n):

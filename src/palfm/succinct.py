@@ -1,17 +1,17 @@
-"""Rank/select/range-count sequences and a range-maximum index.
+"""Rank/select sequences and a range-maximum index.
 
 Desk-scale stand-ins for the succinct structures an FM-index style search
-needs: per-symbol prefix counts and position lists give O(1) rank/select
-and rangeCount over a byte alphabet, and per-block running maxima plus a
-sparse table over block maxima give O(1) range maximum values.  A CodeSeq
-holds its codes as bytes, one per position, the same bytes an index
-image stores; its prefix counts and position lists are built on first
-use, so an index holds only the ones its queries read.  A BitVec is a
-CodeSeq over the codes 0 and 1, one byte a bit; the locate walks read its
-bytes once, to build their own table, and never its prefix counts.  The
-range maximum holds about two entries per value.  The index reports what each
-structure holds (held_bytes) instead of pretending to be
-entropy-compressed.
+needs: per-symbol prefix counts and one stably sorted position table
+give O(1) rank of a code range and select over a byte alphabet, and
+per-block running maxima plus a sparse table over block maxima give O(1)
+range maximum values.  A CodeSeq holds its codes as bytes, one per
+position, the same bytes an index image stores; its prefix counts and
+position table are built on first use, so an index holds only the ones
+its queries read.  A BitVec is a CodeSeq over the codes 0 and 1, one
+byte a bit; the locate walks read its bytes once, to build their own
+table, and never its prefix counts.  The range maximum holds about two
+entries per value.  The index reports what each structure holds
+(held_bytes) instead of pretending to be entropy-compressed.
 
 Positions are 1-based, matching the row numbering of the index; rank takes
 i in [0..n] with rank at 0 being 0.
@@ -19,11 +19,11 @@ i in [0..n] with rank at 0 being 0.
 Backward search takes each of its steps through one call per structure,
 so that the table layout stays private to this module:
 
-- ``CodeSeq.rank_pair(b, e, c)``: the ranks of code c at b-1 and at e,
-  i.e. the occurrences of c before a row interval [b..e] and through it;
+- ``CodeSeq.rank_pair(b, e, lo, hi)``: the occurrences of codes in
+  [lo..hi] before a row interval [b..e] and through it, so rank of one
+  code at lo = hi, and the paper's rangeCount as their difference;
 - ``CodeSeq.select_pair(r1, r2, c)``: the positions of the r1-th and the
   r2-th occurrence of c, the ends of the rows those occurrences map to;
-- ``CodeSeq.range_count(i, j, lo, hi)``: codes in [lo..hi] within [i..j];
 - ``RmqIndex.max_value(i, j)``: the maximum value itself over [i..j].
 
 Each checks its arguments once and raises QueryRangeError outside its
@@ -76,13 +76,13 @@ class QueryRangeError(ValueError):
 
 
 class CodeSeq:
-    """Sequence over codes [0..max_code] with rank, select and rangeCount.
+    """Sequence over codes [0..max_code] with rank and select.
 
     max_code is at most 255: the codes are held as bytes, and codes given
     as bytes are held as they are.  Codes outside the alphabet are legal
-    query arguments for rank and rangeCount and simply never occur.  The
-    prefix counts (rank and rangeCount) and the position lists (select)
-    are each built on first use.
+    rank arguments and simply never occur; select raises on them.  The
+    prefix counts (rank) and the position table (select) are each built
+    on first use.
     """
 
     def __init__(self, codes, max_code):
@@ -95,12 +95,12 @@ class CodeSeq:
             raise ValueError("code outside [0..max_code], or max_code "
                              "above 255, the largest byte")
         self._codes = codes if as_is else arr.astype(np.uint8).tobytes()
-        self._cum = self._pos = None
+        self._cum = self._pos = self._off = None
 
     def _build_cum(self):
         # cum[c][i] = number of codes <= c among the first i entries, for
         # c below max_code: every code is at most max_code, so its row
-        # would read i, and rank and rangeCount use i itself
+        # would read i, and rank_pair uses i itself
         arr = np.frombuffer(self._codes, dtype=np.uint8)
         le = np.zeros(self._n + 1, dtype=np.int64)
         self._cum = []
@@ -110,13 +110,12 @@ class CodeSeq:
         return self._cum
 
     def _build_pos(self):
-        # a stable sort lists each code's positions in order, code by code
+        # a stable sort lists each code's positions in order, code by code;
+        # code c's run is pos[off[c]:off[c + 1]]
         arr = np.frombuffer(self._codes, dtype=np.uint8)
-        order = np.argsort(arr, kind="stable") + 1
         ends = np.cumsum(np.bincount(arr, minlength=self._max + 1))
-        self._pos = {c: int_list(pos)
-                     for c, pos in enumerate(np.split(order, ends[:-1]))
-                     if len(pos)}
+        self._off = [0, *ends.tolist()]
+        self._pos = int_list(np.argsort(arr, kind="stable") + 1)
         return self._pos
 
     def __len__(self):
@@ -133,7 +132,7 @@ class CodeSeq:
         if self._cum is not None:
             held += [self._cum, *self._cum]
         if self._pos is not None:
-            held += [self._pos, *self._pos.values()]
+            held += [self._pos, self._off]
         return sum(map(sys.getsizeof, held))
 
     def code_at(self, i):
@@ -147,25 +146,30 @@ class CodeSeq:
 
     def rank(self, i, c):
         """Occurrences of code c in positions [1..i]."""
-        return self.rank_pair(1, i, c)[1]
+        return self.rank_pair(1, i, c, c)[1]
 
-    def rank_pair(self, b, e, c):
-        """(rank(b-1, c), rank(e, c)) for 1 <= b <= e+1 <= n+1."""
+    def rank_pair(self, b, e, lo, hi):
+        """Occurrences of codes in [lo..hi] in positions [1..b-1] and in
+        [1..e], for 1 <= b <= e+1 <= n+1.  Codes outside [0..max_code]
+        never occur, and an empty code range (lo > hi) counts 0."""
         if not 0 < b <= e + 1 <= self._n + 1:
             raise QueryRangeError("rank pair [%r..%r] out of range" % (b, e))
-        if not 0 <= c <= self._max:
+        if hi > self._max:
+            hi = self._max
+        if lo > hi or hi < 0:
             return 0, 0
         cum = self._cum or self._build_cum()
         b -= 1
-        if c < self._max:
-            hi = cum[c]
-            b_le, e_le = hi[b], hi[e]
+        if hi < self._max:
+            row = cum[hi]
+            before, through = row[b], row[e]
         else:
-            b_le, e_le = b, e
-        if not c:
-            return b_le, e_le
-        lo = cum[c - 1]
-        return b_le - lo[b], e_le - lo[e]
+            before, through = b, e
+        if lo > 0:
+            row = cum[lo - 1]
+            before -= row[b]
+            through -= row[e]
+        return before, through
 
     def select(self, r, c):
         """Position of the r-th occurrence of code c."""
@@ -173,36 +177,14 @@ class CodeSeq:
 
     def select_pair(self, r1, r2, c):
         """(select(r1, c), select(r2, c)) for 1 <= r1 <= r2 <= rank(n, c)."""
-        pos = (self._pos or self._build_pos()).get(c, ())
-        if not 0 < r1 <= r2 <= len(pos):
-            raise QueryRangeError("select pair %r, %r out of range"
-                                  % (r1, r2))
-        return pos[r1 - 1], pos[r2 - 1]
-
-    def range_count(self, i, j, lo, hi):
-        """Occurrences of codes in [lo..hi] within positions [i..j].
-
-        An empty position range (i > j) or value range (lo > hi) counts 0.
-        """
-        if i > j:
-            return 0
-        if i < 1 or j > self._n:
-            raise QueryRangeError("range [%r..%r] out of range" % (i, j))
-        if hi > self._max:
-            hi = self._max
-        if lo > hi or hi < 0:
-            return 0
-        cum = self._cum or self._build_cum()
-        i -= 1
-        if hi < self._max:
-            row = cum[hi]
-            cnt = row[j] - row[i]
-        else:
-            cnt = j - i
-        if lo > 0:
-            row = cum[lo - 1]
-            cnt -= row[j] - row[i]
-        return cnt
+        pos = self._pos or self._build_pos()
+        off = self._off
+        # c goes first: off[-1] would read the last code's end
+        if not (0 <= c <= self._max and 0 < r1 <= r2 <= off[c + 1] - off[c]):
+            raise QueryRangeError("select pair %r, %r of code %r out of "
+                                  "range" % (r1, r2, c))
+        at = off[c] - 1
+        return pos[at + r1], pos[at + r2]
 
 
 class BitVec(CodeSeq):

@@ -214,6 +214,52 @@ def test_interval_tracks_encoding_prefix_rows():
                 break
 
 
+def _replay(idx, p):
+    """(interval, emptied before the last symbol) of the public search:
+    one backward_step per symbol of p, right to left, over
+    pattern_preprocess."""
+    prof = palcore.pattern_preprocess(p)
+    iv = PalInterval(1, idx.n + 1)
+    for i in range(len(p), 0, -1):
+        iv = idx.backward_step(iv, prof.pi_arr[i - 1], prof.g_arr[i - 1])
+        if iv.is_empty:
+            return iv, i > 1
+    return iv, False
+
+
+@pytest.mark.parametrize("kind", ["random-4", "a^500", "fibonacci"])
+def test_count_and_locate_equal_the_public_replay(kind):
+    text = {"random-4": _walk_text("random-4"), "a^500": "a" * 500,
+            "fibonacci": _fibonacci(1000)}[kind]
+    idx = build(text, delta=8)
+    rng = random.Random(79)
+    # the Zimin word (w becomes w x w for each new letter x) nests its
+    # palindromes, so its prefixes reach group ids above K, which no
+    # row's L holds
+    zimin = ""
+    for x in "abcdefg":
+        zimin += x + zimin
+    patterns = []
+    for m in (1, 2, 8, 32, 100):
+        for _ in range(3):
+            s = rng.randrange(len(text) - m + 1)
+            patterns.append(text[s:s + m])
+        for sigma in ("ab", "abcd"):
+            for _ in range(2):
+                patterns.append("".join(rng.choice(sigma) for _ in range(m)))
+        patterns.append(zimin[:m])
+    above_k = early = 0
+    for p in patterns:
+        iv, emptied = _replay(idx, p)
+        assert idx.count(p) == iv.width(), p
+        assert idx.locate(p) == sorted(
+            idx.sa_access(r) for r in range(iv.b, iv.e + 1)), p
+        pis = palcore.pattern_preprocess(p).pi_arr
+        above_k += any(v != INF and v > idx.K for v in pis)
+        early += emptied
+    assert above_k and early
+
+
 def test_degenerate_texts():
     idx = build("aaa", delta=1)
     assert _sa(idx) == [4, 3, 2, 1]

@@ -1,5 +1,6 @@
 """Encoding primitives against frozen values and the brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -197,6 +198,20 @@ def test_pattern_preprocess_fixtures():
     prof = palcore.pattern_preprocess("a")
     assert prof.pi_arr == (INF,)
     assert prof.g_arr == (0,)
+
+
+def test_search_profile_is_the_pattern_profile_in_search_order():
+    for m in range(1, 11):
+        for bits in itertools.product("ab", repeat=m):
+            p = "".join(bits)
+            pis, gs = palcore._search_profile(p)
+            prof = palcore.pattern_preprocess(p)
+            assert (tuple(pis[::-1]), tuple(gs[::-1])) \
+                == (prof.pi_arr, prof.g_arr)
+            # the numpy encoder of the reversed pattern, independently
+            r = p[::-1]
+            assert pis == palcore.sspg(r)
+            assert gs == [0] + palcore.group_counts(r)[:-1]
 
 
 def test_pattern_preprocess_agrees_with_per_suffix_values():

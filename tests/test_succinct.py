@@ -1,4 +1,4 @@
-"""rank/select/rangeCount/RMQ structures against linear scans."""
+"""rank/select/RMQ structures against linear scans."""
 
 import random
 
@@ -48,13 +48,42 @@ def test_codeseq_rank_matches_counting():
         for c in range(-1, k + 3):
             for i in range(0, n + 1, max(1, n // 7)):
                 assert cs.rank(i, c) == codes[:i].count(c)
-                for b in (1, i // 2 + 1, i + 1):
-                    assert cs.rank_pair(b, i, c) == (codes[:b - 1].count(c),
-                                                     codes[:i].count(c))
+        for lo in range(-1, k + 3):
+            for hi in range(-1, k + 3):
+                for i in range(0, n + 1, max(1, n // 7)):
+                    for b in (1, i // 2 + 1, i + 1):
+                        assert cs.rank_pair(b, i, lo, hi) == (
+                            sum(lo <= x <= hi for x in codes[:b - 1]),
+                            sum(lo <= x <= hi for x in codes[:i]))
     cs = CodeSeq([1, 0, 2], 2)
     for b, e in ((0, 2), (3, 1), (1, 4)):
         with pytest.raises(QueryRangeError):
-            cs.rank_pair(b, e, 1)
+            cs.rank_pair(b, e, 1, 1)
+
+
+def test_codeseq_rank_and_select_of_every_code_class():
+    # a code that occurs once (as DOLLAR does in F and L), codes that never
+    # occur, and common codes, with max_code from 12 up
+    rng = random.Random(47)
+    for _ in range(20):
+        k = rng.randint(12, 40)
+        common = rng.sample(range(1, k + 1), rng.randint(1, k // 2))
+        codes = [rng.choice(common) for _ in range(rng.randint(0, 120))]
+        codes.insert(rng.randint(0, len(codes)), 0)
+        cs = CodeSeq(codes, k)
+        assert {c for c in range(k + 1) if c not in codes} \
+            and codes.count(0) == 1
+        for c in range(-1, k + 2):
+            assert [cs.rank(i, c) for i in range(len(codes) + 1)] \
+                == [codes[:i].count(c) for i in range(len(codes) + 1)]
+            where = [i + 1 for i, x in enumerate(codes) if x == c]
+            assert [cs.select(r, c) for r in range(1, len(where) + 1)] \
+                == where
+            with pytest.raises(QueryRangeError):
+                cs.select(len(where) + 1, c)
+            if where:
+                assert cs.select_pair(1, len(where), c) \
+                    == (where[0], where[-1])
 
 
 def test_codeseq_select_inverse():
@@ -67,7 +96,8 @@ def test_codeseq_select_inverse():
             assert cs.rank(p, c) == r
             for r2 in range(r, codes.count(c) + 1):
                 assert cs.select_pair(r, r2, c) == (p, cs.select(r2, c))
-    for r1, r2, c in ((0, 1, 2), (2, 1, 2), (1, 5, 2), (1, 1, 9)):
+    for r1, r2, c in ((0, 1, 2), (2, 1, 2), (1, 5, 2), (1, 1, 9), (1, 1, -1),
+                      (1, 1, cs.max_code + 1)):
         with pytest.raises(QueryRangeError):
             cs.select_pair(r1, r2, c)
     with pytest.raises(QueryRangeError):
@@ -76,7 +106,7 @@ def test_codeseq_select_inverse():
         cs.select(1, 9)
 
 
-def test_codeseq_range_count_matches_loop():
+def test_codeseq_rank_pair_differences_match_loop():
     rng = random.Random(41)
     for _ in range(40):
         n = rng.randint(1, 50)
@@ -84,24 +114,27 @@ def test_codeseq_range_count_matches_loop():
         codes = [rng.randint(0, k) for _ in range(n)]
         cs = CodeSeq(codes, k)
         for _ in range(30):
-            i = rng.randint(1, n)
-            j = rng.randint(1, n)
+            i, j = sorted((rng.randint(1, n), rng.randint(1, n)))
             lo = rng.randint(-1, k + 2)
             hi = rng.randint(-1, k + 2)
             want = sum(1 for t in range(i, j + 1)
                        if lo <= codes[t - 1] <= hi)
-            assert cs.range_count(i, j, lo, hi) == want
+            before, through = cs.rank_pair(i, j, lo, hi)
+            assert through - before == want
 
 
-def test_codeseq_range_count_edge_forms():
+def test_codeseq_rank_pair_edge_forms():
     cs = CodeSeq([1, 0, 2, 1], 2)
-    assert cs.range_count(3, 2, 0, 2) == 0
-    assert cs.range_count(1, 4, 2, 1) == 0
-    assert cs.range_count(1, 4, 3, 9) == 0
-    with pytest.raises(QueryRangeError):
-        cs.range_count(0, 4, 0, 2)
-    with pytest.raises(QueryRangeError):
-        cs.range_count(1, 5, 0, 2)
+    # an empty code range, or one past the alphabet, counts 0
+    assert cs.rank_pair(1, 4, 2, 1) == (0, 0)
+    assert cs.rank_pair(1, 4, 3, 9) == (0, 0)
+    assert cs.rank_pair(2, 4, -5, -1) == (0, 0)
+    # a range reaching past the alphabet counts the codes inside it
+    assert cs.rank_pair(2, 4, -1, 9) == (1, 4)
+    assert cs.rank_pair(3, 4, 1, 9) == (1, 3)
+    for b, e in ((0, 4), (1, 5)):
+        with pytest.raises(QueryRangeError):
+            cs.rank_pair(b, e, 0, 2)
 
 
 def test_codeseq_validates_codes():
