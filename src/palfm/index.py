@@ -58,11 +58,11 @@ _SECTION_NAMES = {_SEC_L: "l_codes", _SEC_F: "f_codes",
                   _SEC_MARKS: "sample_marks", _SEC_SAMPLES: "sample_values"}
 
 # larger texts need force=True / --force-large: a loaded index holds about
-# 19 times its image once it has answered a count and a locate (4-byte
-# arrays of LF, the range-maximum blocks, the samples and the rank/select
-# tables its queries build, and the F, L and mark codes as bytes; 18.7
-# times by tracemalloc on random text over 4 letters, n = 40,000, delta 32,
-# Python 3.11 and numpy 2.4 on a 2-vCPU Xeon)
+# 15 times its image once it has answered a count and a locate (4-byte
+# arrays of LF, the range-maximum block table, the samples and the
+# rank/select tables its queries build, and the F, L and mark codes as
+# bytes; 15.3 times by tracemalloc on random text over 4 letters,
+# n = 40,000, delta 32, Python 3.11 and numpy 2.4 on a 2-vCPU Xeon)
 BUILD_GUARD = 50_000
 
 # locate walks an interval of this many rows or more in numpy, one LF step
@@ -454,9 +454,11 @@ def _first_refuted(codes, starts, lcp):
     and Karkkainen, CPM 2003), with events for the one column in which a
     shift by one start changes a suffix.
 
-    unsorted says that the pair named fails (i)'s order: a is not below b
-    at column l+1, or starts repeats one.  A pair out of order is named
-    before any pair whose claim alone is refuted.
+    unsorted says that the pair named fails (i)'s order: a is above b at
+    column l+1, or starts repeats one.  Equal values there refute the
+    claim, not the order, as a true claim l makes the two differ at l+1.
+    A pair out of order is named before any pair whose claim alone is
+    refuted.
     """
     n = len(codes) - 1
     row_of = np.full(n + 1, -1, dtype=np.int32)
@@ -468,8 +470,12 @@ def _first_refuted(codes, starts, lcp):
     # a claim outside the shorter suffix is refuted, and checked as 0
     refuted = (lcp < 0) | (lcp > n - np.maximum(a, b))
     lcp = np.where(refuted, 0, lcp)
-    unsorted = ~refuted & (_shown(codes, a + lcp, lcp + 1)
-                           >= _shown(codes, b + lcp, lcp + 1))
+    at_a, at_b = (_shown(codes, s + lcp, lcp + 1) for s in (a, b))
+    unsorted = ~refuted & (at_a > at_b)
+    refuted |= at_a == at_b
+    # 8 B a row each: kept through the checks below, they would raise the
+    # build's memory peak
+    del at_a, at_b
     deep = np.flatnonzero(lcp >= 2)
     ra, rb = row_of[a[deep] + 1], row_of[b[deep] + 1]
     refuted[deep] |= (_range_minima(lcp, np.minimum(ra, rb),
@@ -827,9 +833,10 @@ def _assemble(n, delta, k, fcodes, lcodes):
     if bad:
         raise IndexFormatError(bad[1])
     rows = n + 1
-    # LF is filled in place in its int32 array: an int64 copy would stay
-    # alive through RmqIndex, a load's memory peak; the 1 is added in
-    # place too, sparing a third 8 B/row temporary beside the argsorts
+    # LF is filled in place in its int32 array, which RmqIndex reads by
+    # reference: an int64 LF beside the two int64 argsorts would raise a
+    # load's memory peak; the 1 is added in place too, sparing a third
+    # 8 B/row temporary beside them
     typecode = "i" if rows <= 2 ** 31 - 1 else "q"
     lf_values = array(typecode, [0]) * rows
     order = np.argsort(fcodes, kind="stable")
@@ -875,7 +882,7 @@ def build(text, delta=32, force=False):
         raise ValueError("delta must be in [1..%d]" % max(n, 1))
     if n > BUILD_GUARD and not force:
         raise ValueError("text of %d symbols exceeds the construction guard "
-                         "(%d; a loaded index takes about 19 times its "
+                         "(%d; a loaded index takes about 15 times its "
                          "image in memory); pass force=True (--force-large) "
                          "to override" % (n, BUILD_GUARD))
     k_max, pi_codes, sa, (bad, unsorted) = _certified_order(text)

@@ -2,16 +2,18 @@
 
 Desk-scale stand-ins for the succinct structures an FM-index style search
 needs: per-symbol prefix counts and one stably sorted position table
-give O(1) rank of a code range and select over a byte alphabet, and
-per-block running maxima plus a sparse table over block maxima give O(1)
-range maximum values.  A CodeSeq holds its codes as bytes, one per
-position, the same bytes an index image stores; its prefix counts and
-position table are built on first use, so an index holds only the ones
-its queries read.  A BitVec is a CodeSeq over the codes 0 and 1, one
-byte a bit; the locate walks read its bytes once, to build their own
-table, and never its prefix counts.  The range maximum holds about two
-entries per value.  The index reports what each structure holds
-(held_bytes) instead of pretending to be entropy-compressed.
+give O(1) rank of a code range and select over a byte alphabet, and a
+sparse table over the maxima of 32-value blocks, with the values at a
+query's two ends read in place, gives O(1) range maximum values.  A
+CodeSeq holds its codes as bytes, one per position, the same bytes an
+index image stores; its prefix counts and position table are built on
+first use, so an index holds only the ones its queries read.  A BitVec
+is a CodeSeq over the codes 0 and 1, one byte a bit; the locate walks
+read its bytes once, to build their own table, and never its prefix
+counts.  The range maximum holds no entry per value, only its block
+table: 1.2 bytes per value at n = 40,000.  The index reports what each
+structure holds (held_bytes) instead of pretending to be
+entropy-compressed.
 
 Positions are 1-based, matching the row numbering of the index; rank takes
 i in [0..n] with rank at 0 being 0.
@@ -32,8 +34,8 @@ domain.
 numpy builds every table, and each table with an entry per position is
 an array('i') of 4-byte entries (int_list), where a Python list would
 cost an 8-byte pointer per entry and an int object behind it.  On random
-text over 4 letters, n = 40,000, a loaded index holds 16.4 bytes per
-row, and 44.5 after one count and one locate (tracemalloc).  An array
+text over 4 letters, n = 40,000, a loaded index holds 8.4 bytes per
+row, and 36.5 after one count and one locate (tracemalloc).  An array
 read allocates the int it returns: 66 ns a read against 47 ns for a list
 and 94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU
 machine).  Counts pay that on a few reads per backward step, 5-10 % of a
@@ -201,53 +203,48 @@ class RmqIndex:
     """Range maximum over a fixed sequence of non-negative integers.
 
     The sequence is held by reference, not copied.  Cut into blocks of 32
-    values, each position keeps the running maximum from its block's start
-    (head) and to its block's end (tail), and a sparse table over the
-    block maxima covers the whole blocks between a query's ends.
+    values, its one table is a sparse table over the block maxima, which
+    covers the whole blocks between a query's ends.  A partial block at
+    an end is read from the values themselves, and only when its block's
+    maximum beats that of the whole blocks: at most 31 reads an end.
     """
 
     def __init__(self, values):
         self._v = values
-        n = self._n = len(values)
-        # padding with the last value leaves every tail maximum unchanged
-        blocks = np.pad(np.asarray(values), (0, -n % 32),
-                        mode="edge").reshape(-1, 32)
-        run = np.maximum.accumulate
-        self._head = int_list(run(blocks, axis=1).ravel()[:n])
-        self._tail = int_list(run(blocks[:, ::-1], axis=1)[:, ::-1]
-                              .ravel()[:n])
+        arr = np.asarray(values)
+        self._n = len(arr)
+        if arr.min(initial=0) < 0:
+            raise ValueError("RmqIndex takes non-negative integers")
         # level k: the maximum of the 2^k block maxima from each block on
-        level = blocks.max(axis=1)
+        level = np.maximum.reduceat(arr, np.arange(0, self._n, 32))
         self._table = [int_list(level)]
-        span = 1
-        while 2 * span <= len(blocks):
-            level = np.maximum(level[:-span], level[span:])
+        for k in range(len(level).bit_length() - 1):
+            level = np.maximum(level[:-(1 << k)], level[1 << k:])
             self._table.append(int_list(level))
-            span *= 2
-
-    def __len__(self):
-        return self._n
 
     def held_bytes(self):
-        """Bytes of the block tables; the values are the caller's."""
-        return sum(map(sys.getsizeof,
-                       (self._head, self._tail, self._table, *self._table)))
+        """Bytes of the block table; the values are the caller's."""
+        return sum(map(sys.getsizeof, (self._table, *self._table)))
 
     def max_value(self, i, j):
         """Maximum of values[i..j], 1-based and inclusive."""
         if not 0 < i <= j <= self._n:
             raise QueryRangeError("rmq range [%r..%r] invalid" % (i, j))
+        v = self._v
         if i == j:
-            return self._v[i - 1]
+            return v[i - 1]
         i -= 1
-        # 0-based position p lies in block p >> 5 (blocks of 32)
-        lo = i >> 5
-        hi = (j - 1) >> 5
-        if lo == hi:
-            return max(self._v[i:j])
-        if hi - lo == 1:
-            return max(self._tail[i], self._head[j - 1])
-        k = (hi - lo - 1).bit_length() - 1
+        # values[i:j] holds the whole blocks lo..hi-1 (blocks of 32)
+        lo, hi = (i + 31) >> 5, j >> 5
+        if lo >= hi:
+            return max(v[i:j])
+        k = (hi - lo).bit_length() - 1
         row = self._table[k]
-        return max(self._tail[i], self._head[j - 1], row[lo + 1],
-                   row[hi - (1 << k)])
+        top = max(row[lo], row[hi - (1 << k)])
+        # a partial end block can beat top only if its block maximum does
+        blocks = self._table[0]
+        if i < lo << 5 and blocks[lo - 1] > top:
+            top = max(max(v[i:lo << 5]), top)
+        if j > hi << 5 and blocks[hi] > top:
+            top = max(max(v[hi << 5:j]), top)
+        return top

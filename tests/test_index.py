@@ -459,12 +459,19 @@ def test_certificate_refutes_every_swap_and_lcp_edit():
 
 def test_certificate_names_a_pair_out_of_order_before_a_wild_claim():
     # a claim past the shorter suffix is refuted, not read as a pair out
-    # of order; a claim one short shows its pair equal, so not increasing
+    # of order; a claim one short shows its pair equal at the next column,
+    # which refutes the claim, not the order; a swapped pair is still
+    # named out of order before an earlier refuted claim
     codes = index_mod._encode(T)[0]
     sa, lcp = index_mod._pal_suffix_sort(codes)
-    lcp[2] = len(T) + 1
-    lcp[5] -= 1
-    assert index_mod._first_refuted(codes, sa - 1, lcp) == (5, True)
+    wild, short = lcp.copy(), lcp.copy()
+    wild[2] = len(T) + 1
+    short[5] -= 1
+    assert index_mod._first_refuted(codes, sa - 1, wild) == (2, False)
+    assert index_mod._first_refuted(codes, sa - 1, short) == (5, False)
+    swapped = sa.copy()
+    swapped[[5, 6]] = swapped[[6, 5]]
+    assert index_mod._first_refuted(codes, swapped - 1, wild) == (5, True)
 
 
 def test_interval_helpers():

@@ -96,7 +96,7 @@ def test_loaded_tables_hold_four_byte_entries():
     idx.locate(t[200:206])
     rmq = idx.lf_rmq
     tables = [idx.lf_values, idx.S, idx._hop,
-              rmq._head, rmq._tail, *rmq._table, *idx.L._cum, idx.F._pos]
+              *rmq._table, *idx.L._cum, idx.F._pos]
     assert len(rmq._table) > 1 and len(idx.L._cum) == idx.K + 1
     for table in tables:
         assert type(table) is array.array and table.itemsize == 4

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from palfm import build, deserialize, serialize
 from palfm.succinct import (BitVec, CodeSeq, QueryRangeError, RmqIndex,
                             int_list)
 
@@ -157,20 +158,53 @@ def test_codeseq_codes_returns_a_copy():
 
 def test_rmq_matches_linear_scan():
     rng = random.Random(43)
-    # n up to 60 stays within two 32-value blocks; n of 300..700 reaches
-    # the sparse table's upper levels, with values drawn from [0..10n] so
-    # that a wrong block seldom shares the true maximum
-    for lo, hi, runs in ((1, 60, 80), (300, 700, 10)):
+    # every range of every sequence of 1..97 values, so every range
+    # length and offset around the blocks of 32; n of 300..700 and
+    # 1,023..1,025 reach the sparse table's upper levels, with values
+    # drawn from [0..10n] so that a wrong block seldom shares the true
+    # maximum
+    for n in range(1, 98):
+        v = [rng.randint(0, 10 * n) for _ in range(n)]
+        for rm in (RmqIndex(v), RmqIndex(int_list(v))):
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    assert rm.max_value(i, j) == max(v[i - 1:j])
+    for lo, hi, runs in ((300, 700, 10), (1023, 1025, 6)):
         for _ in range(runs):
             n = rng.randint(lo, hi)
-            top = 30 if n <= 60 else 10 * n
-            v = [rng.randint(0, top) for _ in range(n)]
+            v = [rng.randint(0, 10 * n) for _ in range(n)]
             rms = RmqIndex(v), RmqIndex(int_list(v))
             for _ in range(200):
                 i = rng.randint(1, n)
                 j = rng.randint(i, n)
                 for rm in rms:
                     assert rm.max_value(i, j) == max(v[i - 1:j])
+
+
+def test_rmq_reads_an_end_block_only_when_it_can_hold_the_maximum():
+    # one unique maximum planted at every position of 5 blocks, against
+    # ranges whose ends fall on and around block edges: planted in a
+    # partial end block, that end is read and holds the answer; planted
+    # in a whole block, or outside the range, an end block's read is
+    # skipped or finds nothing above the whole blocks
+    rng = random.Random(47)
+    base = [rng.randint(0, 9) for _ in range(160)]
+    starts = (1, 2, 31, 32, 33, 34, 63, 64, 65, 66)
+    ends = (95, 96, 97, 98, 127, 128, 129, 159, 160)
+    for p in range(160):
+        v = list(base)
+        v[p] = 100
+        rm = RmqIndex(int_list(v))
+        for i in starts:
+            for j in ends:
+                assert rm.max_value(i, j) == max(v[i - 1:j]), (p, i, j)
+
+
+def test_loaded_range_maximum_holds_no_table_per_row():
+    rng = random.Random(53)
+    t = bytes(rng.choice(b"abcd") for _ in range(2000))
+    rmq = deserialize(serialize(build(t, delta=8))).lf_rmq
+    assert rmq.held_bytes() < 2 * 2001
 
 
 def test_rmq_errors():
