@@ -138,8 +138,6 @@ def _encode(text):
     pi codes[sa] and L is pi codes[sa - 1]."""
     n = len(text)
     pi_codes = np.zeros(n + 2, dtype=np.uint8)
-    if not n:
-        return np.zeros(1, dtype=np.int64), 0, pi_codes
     _, codes, groups, _ = palcore._encoding(text[::-1])
     # pi(T[s..]) is sspg of the reversed text at n-s
     pi_suf = groups[::-1]

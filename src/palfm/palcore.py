@@ -41,37 +41,35 @@ def maximal_palindromes(w):
     [2..2n], so the result has 2n-1 entries and entry [t-2] belongs to center
     t/2.  Even t carry odd-length palindromes (>= 1), odd t carry even-length
     ones, 0 when the two neighbours differ.
+
+    Manacher's algorithm in pure Python, holding one list: the 2n-1
+    lengths it returns.
     """
     n = len(w)
-    if n == 0:
-        return []
-    # Manacher, two passes over 0-based w.
-    # d1[i]: number of odd palindromes centered at i, longest length 2*d1[i]-1
-    d1 = [0] * n
+    # two passes over 0-based w, each writing its lengths straight into
+    # res and reading a mirror's length back from it: the mirror lies
+    # left of i, so its entry is already written, and the odd pass
+    # touches only even entries, the even pass only odd ones
+    res = [0] * (2 * n - 1)
+    # odd: k palindromes centered at i, the longest of length 2k-1
     l, r = 0, -1
     for i in range(n):
-        k = 1 if i > r else min(d1[l + r - i], r - i + 1)
+        k = 1 if i > r else min((res[2 * (l + r - i)] + 1) >> 1, r - i + 1)
         while k <= i and i + k < n and w[i - k] == w[i + k]:
             k += 1
-        d1[i] = k
+        res[2 * i] = 2 * k - 1
         if i + k - 1 > r:
             l, r = i - k + 1, i + k - 1
-    # d2[i]: number of even palindromes whose right half starts at i,
-    # longest length 2*d2[i]
-    d2 = [0] * n
+    # even: k palindromes whose right half starts at i, the longest of
+    # length 2k
     l, r = 0, -1
-    for i in range(n):
-        k = 0 if i > r else min(d2[l + r - i + 1], r - i + 1)
+    for i in range(1, n):
+        k = 0 if i > r else min(res[2 * (l + r - i) + 1] >> 1, r - i + 1)
         while k < i and i + k < n and w[i - k - 1] == w[i + k]:
             k += 1
-        d2[i] = k
+        res[2 * i - 1] = 2 * k
         if i + k - 1 > r:
             l, r = i - k, i + k - 1
-    res = [0] * (2 * n - 1)
-    for i in range(n):
-        res[2 * i] = 2 * d1[i] - 1
-    for i in range(1, n):
-        res[2 * i - 1] = 2 * d2[i]
     return res
 
 

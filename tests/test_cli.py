@@ -141,6 +141,33 @@ def test_verify_clean_pair(files, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_verify_empty_text(tmp_path, capsys):
+    text = tmp_path / "e.txt"
+    text.write_bytes(b"")
+    idx = tmp_path / "e.idx"
+    idx.write_bytes(serialize(build(b"", delta=1)))
+    assert cli.main(["verify", str(idx), str(text)]) == 0
+    assert capsys.readouterr().out == \
+        "verify: ok (invariants + oracle spot check)\n"
+
+
+def test_verify_reports_an_oracle_mismatch(files, capsys, monkeypatch):
+    text, idx = files
+    count = index_mod.PalFMIndex.count
+    monkeypatch.setattr(index_mod.PalFMIndex, "count",
+                        lambda self, p: count(self, p) + 1)
+    assert cli.main(["verify", str(idx), str(text)]) == 3
+    assert capsys.readouterr().out.startswith("verify: oracle-mismatch: ")
+
+
+def test_verify_past_the_oracle_checks_invariants_only(files, capsys,
+                                                       monkeypatch):
+    text, idx = files
+    monkeypatch.setattr(cli.oracle, "SIZE_LIMIT", len(T) - 1)
+    assert cli.main(["verify", str(idx), str(text)]) == 0
+    assert capsys.readouterr().out == "verify: ok (invariants)\n"
+
+
 def test_verify_mismatched_text_exits_3(files, tmp_path, capsys):
     _, idx = files
     other = tmp_path / "other.txt"
@@ -249,4 +276,22 @@ def test_failed_self_check_exits_3_without_an_index(tmp_path, capsys,
     assert cli.main(["build", str(text), str(out), "--delta", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: construction self-check failed: ")
+    assert not out.exists()
+
+
+def test_failed_lf_walk_self_check_exits_3_without_an_index(tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    # pi codes 1 and 5 swapped: the certified order holds, but the codes
+    # give an LF walk that returns to row 1 early
+    codes, k_max, pi_codes = index_mod._encode(T)
+    pi_codes[[1, 5]] = pi_codes[[5, 1]]
+    monkeypatch.setattr(index_mod, "_encode",
+                        lambda text: (codes, k_max, pi_codes))
+    text = tmp_path / "t.txt"
+    text.write_bytes(T)
+    out = tmp_path / "o.idx"
+    assert cli.main(["build", str(text), str(out), "--delta", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: construction self-check failed: LF walk")
     assert not out.exists()

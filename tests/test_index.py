@@ -31,6 +31,7 @@ def test_fixture_rows(fix):
     assert _sa(fix) == [10, 9, 2, 5, 8, 1, 4, 7, 3, 6]
     assert fix.F.codes() == [DOLLAR, inf, 1, 1, inf, 2, inf, 2, 2, 2]
     assert fix.L.codes() == [inf, inf, 2, inf, 2, DOLLAR, 2, 2, 1, 1]
+    assert len(fix.F) == len(fix.L) == fix.n + 1
     assert list(fix.lf_values) == [2, 5, 6, 7, 8, 1, 9, 10, 3, 4]
 
 
@@ -268,6 +269,12 @@ def test_degenerate_texts():
     assert empty.F.codes() == [DOLLAR]
     assert empty.L.codes() == [DOLLAR]
     assert empty.sa_access(1) == 1
+    # the empty text takes the general encoding path
+    for text in ("", b""):
+        codes, k_max, pi_codes = index_mod._encode(text)
+        assert codes.dtype == np.int64 and codes.tolist() == [0]
+        assert k_max == 0
+        assert pi_codes.dtype == np.uint8 and pi_codes.tolist() == [0, 0]
     one = build("x", delta=1)
     assert _sa(one) == [2, 1]
     assert one.count("q") == 1
@@ -461,7 +468,8 @@ def test_certificate_names_a_pair_out_of_order_before_a_wild_claim():
     # a claim past the shorter suffix is refuted, not read as a pair out
     # of order; a claim one short shows its pair equal at the next column,
     # which refutes the claim, not the order; a swapped pair is still
-    # named out of order before an earlier refuted claim
+    # named out of order before an earlier refuted claim; repeated starts
+    # read as out of order at row 0
     codes = index_mod._encode(T)[0]
     sa, lcp = index_mod._pal_suffix_sort(codes)
     wild, short = lcp.copy(), lcp.copy()
@@ -472,6 +480,26 @@ def test_certificate_names_a_pair_out_of_order_before_a_wild_claim():
     swapped = sa.copy()
     swapped[[5, 6]] = swapped[[6, 5]]
     assert index_mod._first_refuted(codes, swapped - 1, wild) == (5, True)
+    repeated = sa.copy()
+    repeated[3] = repeated[4]
+    assert index_mod._first_refuted(codes, repeated - 1, lcp) == (0, True)
+
+
+@pytest.mark.parametrize("swap, message", [
+    ([1, 5], "LF walk from row 1 returns after 8 of 10 rows"),
+    ([1, 2], "the LF walk does not meet the sorted starts"),
+])
+def test_build_self_check_runs_the_lf_walk(monkeypatch, swap, message):
+    # T's true ssp codes and K with two pi codes swapped: the certificate
+    # reads only the ssp codes, so only the LF walk can fail
+    codes, k_max, pi_codes = index_mod._encode(T)
+    assert pi_codes.tolist() == [0, 2, 1, 2, 3, 1, 2, 2, 3, 3, 0]
+    pi_codes[swap] = pi_codes[swap[::-1]]
+    monkeypatch.setattr(index_mod, "_encode",
+                        lambda text: (codes, k_max, pi_codes))
+    with pytest.raises(index_mod.SelfCheckError,
+                       match="construction self-check failed: " + message):
+        build(T, delta=2)
 
 
 def test_interval_helpers():

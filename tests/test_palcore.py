@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,9 +35,15 @@ def test_maximal_palindromes_center_layout():
 
 def test_maximal_palindromes_match_center_expansion():
     rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 40)
-        w = "".join(rng.choice("abc") for _ in range(n))
+    words = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 40)))
+             for _ in range(200)]
+    # mirror reads across long palindromes, where the pass could read a
+    # center it has not written yet
+    words += _LONG_PALINDROMES
+    words += ["".join(bits) for n in range(1, 13)
+              for bits in itertools.product("ab", repeat=n)]
+    for w in words:
+        n = len(w)
         got = palcore.maximal_palindromes(w)
         for t in range(2, 2 * n + 1):
             if t % 2 == 0:
@@ -47,6 +54,19 @@ def test_maximal_palindromes_match_center_expansion():
                 i -= 1
                 j += 1
             assert got[t - 2] == j - i + 1, (w, t)
+
+
+def test_maximal_palindromes_hold_only_their_result():
+    # the pass writes into its result and holds no other per-center list
+    for w in ("a" * 5000, _fibonacci_word(5000)):
+        tracemalloc.start()
+        try:
+            res = palcore.maximal_palindromes(w)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res) == 2 * len(w) - 1
+        assert peak <= 1.25 * held, (w[:8], peak, held)
 
 
 def test_longest_suffix_palindrome_fixtures():
@@ -198,6 +218,8 @@ def test_pattern_preprocess_fixtures():
     prof = palcore.pattern_preprocess("a")
     assert prof.pi_arr == (INF,)
     assert prof.g_arr == (0,)
+    with pytest.raises(ValueError, match="empty pattern"):
+        palcore.pattern_preprocess("")
 
 
 def test_search_profile_is_the_pattern_profile_in_search_order():

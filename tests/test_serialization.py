@@ -336,6 +336,24 @@ def test_stats_section_sizes_are_the_image_sections(n, delta):
     assert st["total_bits"] == 8 * len(img)
 
 
+@pytest.mark.parametrize("tag", [1, 2])
+def test_short_code_section_is_reported(tag):
+    img = serialize(build("abbabbcbc", delta=2))
+    sections = [(t, payload[:-1] if t == tag else payload)
+                for t, payload in _sections(img)]
+    with pytest.raises(IndexFormatError, match="code section length"):
+        deserialize(_with_sections(img, sections))
+
+
+@pytest.mark.parametrize("delta", [0, 10])
+def test_header_delta_outside_the_text_is_reported(delta):
+    img = bytearray(serialize(build("abbabbcbc", delta=2)))
+    # delta follows magic, version, flags and n; n is 9 here
+    struct.pack_into("<Q", img, 24, delta)
+    with pytest.raises(IndexFormatError, match="delta outside"):
+        deserialize(_reseal(bytes(img)))
+
+
 def test_code_outside_declared_alphabet_is_reported():
     idx = build("ab", delta=1)
     img = bytearray(serialize(idx))
