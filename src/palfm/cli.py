@@ -19,14 +19,6 @@ from .index import IndexFormatError, SelfCheckError
 from .palcore import INF
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
-
-
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -166,9 +158,9 @@ def cmd_verify(args):
 
 
 def _make_parser():
-    parser = _Parser(prog="palfm",
-                     description="index a text for palindrome pattern "
-                                 "matching and query it")
+    parser = argparse.ArgumentParser(
+        prog="palfm", description="index a text for palindrome pattern "
+                                  "matching and query it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def fmt(p):
@@ -221,7 +213,8 @@ def main(argv=None):
     try:
         args = _make_parser().parse_args(argv)
     except SystemExit as e:
-        return 0 if e.code in (0, None) else int(e.code)
+        # argparse exits with 2 on a usage error; the contract says 1
+        return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
     except (OSError, ValueError, SelfCheckError) as e:

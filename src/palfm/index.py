@@ -138,7 +138,7 @@ def _encode(text):
     pi codes[sa] and L is pi codes[sa - 1]."""
     n = len(text)
     pi_codes = np.zeros(n + 2, dtype=np.uint8)
-    _, codes, groups, _ = palcore._encoding(text[::-1])
+    _, codes, groups = palcore._encoding(text[::-1])
     # pi(T[s..]) is sspg of the reversed text at n-s
     pi_suf = groups[::-1]
     inf = pi_suf > n
@@ -489,12 +489,12 @@ def _first_refuted(codes, starts, lcp):
     return (int(bad[0]), out_of_order) if bad.size else (-1, False)
 
 
-def _refutation(r, unsorted, out_of_order):
+def _refutation(r, unsorted):
     """What _first_refuted's (r, unsorted) says of rows r+1 and r+2: that
-    they are out of order, in the words given, or that their claimed
-    common prefix is refuted."""
+    they are out of order, or that their claimed common prefix is
+    refuted."""
     if unsorted:
-        return "rows %d and %d %s" % (r + 1, r + 2, out_of_order)
+        return "rows %d and %d are not strictly increasing" % (r + 1, r + 2)
     return ("the common prefix claimed for rows %d and %d is refuted"
             % (r + 1, r + 2))
 
@@ -767,8 +767,7 @@ class PalFMIndex:
         k, pi_codes, sa, (bad, unsorted) = _certified_order(text)
         if bad >= 0:
             return VerifyResult(False, "sorted-order",
-                                _refutation(bad, unsorted,
-                                            "are not strictly increasing"))
+                                _refutation(bad, unsorted))
         # row_of[s]: the row of start s; row 1 is LF of the row of start 1
         row_of = np.ones(rows + 1, dtype=np.int64)
         row_of[sa] = np.arange(1, rows + 1)
@@ -886,8 +885,7 @@ def build(text, delta=32, force=False):
     k_max, pi_codes, sa, (bad, unsorted) = _certified_order(text)
     if bad >= 0:
         raise SelfCheckError("construction self-check failed: %s"
-                             % _refutation(bad, unsorted,
-                                           "are not in increasing order"))
+                             % _refutation(bad, unsorted))
     # the LF walk over the codes must find the sorted starts again
     try:
         idx, starts = _assemble(n, delta, k_max, pi_codes[sa],

@@ -9,16 +9,17 @@ entry.
 
 The encodings are computed on two paths, each from one Manacher pass
 (maximal_palindromes, O(n)).  Whole strings, the index's text and the
-public encoding functions, take the numpy path (_encoding and its
-parts): prefix maxima and searchsorted find the centers of the longest
-and second-longest suffix-palindromes, pointer jumping resolves the ssp
-recurrence in at most ceil(lg n) rounds, and two bincounts apply the
-group representative test; O(n log n) in all.  Patterns take the
-pure-Python path, _profile, which runs the same steps as O(m) sweeps:
-numpy's fixed cost per call exceeds a whole Python profile below about
-a hundred symbols, and queries are usually shorter.  _profile is also
-the reference the numpy path is tested against, and the oracle module
-stays the independent one.
+public lpal, lpal_second, ssp, spp, sspg and pi, take the numpy path
+(_encoding and its parts): prefix maxima and searchsorted find the
+centers of the longest and second-longest suffix-palindromes, pointer
+jumping resolves the ssp recurrence in at most ceil(lg n) rounds, and
+one bincount applies the group representative test; O(n log n) in all.
+Patterns take the pure-Python path, _profile, which runs the same steps
+as O(m) sweeps: numpy's fixed cost per call exceeds a whole Python
+profile below about a hundred symbols, and queries are usually shorter.
+Group counts matter only for patterns, so _profile alone computes them,
+for group_counts too.  _profile is also the reference the numpy path is
+tested against, and the oracle module stays the independent one.
 
 Positions are 1-based throughout; a returned list r holds the value for
 position i at r[i-1].  INF marks "no such palindrome" and compares above
@@ -142,10 +143,11 @@ def _ssp_array(lens):
 
 
 def _groups(lens, s, sp):
-    """(sspg, group_counts) of w as int arrays, sspg's INF as n+2, from its
-    maximal palindromes lens, and the _ssp_array s of w and sp of
-    reverse(w): the representative test of _profile over every center at
-    once, and one bincount each for the group counts and for sspg."""
+    """sspg of w as an int array, INF as n+2, from its maximal palindromes
+    lens, and the _ssp_array s of w and sp of reverse(w): the
+    representative test of _profile over every center at once, and one
+    bincount of the representatives below each sspg bound.  The group
+    counts themselves come from _profile (group_counts)."""
     n = len(s) - 1
     ends = _ends(lens)
     # w[a..j] of length L is a representative when spp of w at a-1 is
@@ -157,7 +159,6 @@ def _groups(lens, s, sp):
     del at
     limit -= 1
     rep = limit > lens
-    reps = np.bincount(ends[rep], minlength=n + 1)
     # it counts towards sspg at j+1 when it is shorter than ssp there
     # minus 1; s[n] = 0 fails, as no sspg follows n
     limit = s[ends]
@@ -165,22 +166,19 @@ def _groups(lens, s, sp):
     rep &= limit > lens
     del limit
     below = np.bincount(ends[rep], minlength=n + 1)
-    groups = np.where(s[:n] > n, n + 2, below[:n] + 1)
-    counts = reps[1:]
-    counts[:-1] += s[1:n] <= n
-    counts[-1:] += 1
-    return groups, counts
+    return np.where(s[:n] > n, n + 2, below[:n] + 1)
 
 
 def _encoding(w):
-    """(ssp(w), ssp(reverse(w)), sspg(w), group_counts(w)) as int arrays,
-    from one Manacher pass: the first two as _ssp_array, sspg with INF as
-    n+2.  The numpy counterpart of _profile, for whole strings."""
+    """(ssp(w), ssp(reverse(w)), sspg(w)) as int arrays, from one Manacher
+    pass: the first two as _ssp_array, sspg with INF as n+2.  The numpy
+    counterpart of _profile's first three lists, for whole strings; the
+    group counts come from _profile alone."""
     lens = _lengths(w)
     s = _ssp_array(lens)
     # reversing mirrors the centers: reverse(w) has lens read backwards
     sp = _ssp_array(lens[::-1])
-    return (s, sp) + _groups(lens, s, sp)
+    return s, sp, _groups(lens, s, sp)
 
 
 def _with_inf(codes, n):
@@ -237,8 +235,10 @@ def group_counts(w):
     spp[i-1] > j-i+2.  At j = n there is no upcoming character and all
     suffix-palindromes sit at the text boundary; the empty suffix (whose
     center 2n+1 is outside the maximal-palindrome range) is added directly.
+
+    Computed by _profile, the pure-Python path, which alone counts groups.
     """
-    return _encoding(w)[3].tolist()
+    return _profile(w)[3]
 
 
 def sspg(w):

@@ -40,18 +40,8 @@ read allocates the int it returns: 66 ns a read against 47 ns for a list
 and 94 ns for an ndarray (Python 3.11, one core of a shared 2-vCPU
 machine).  Counts pay that on a few reads per backward step, 5-10 % of a
 count.
-The locate walk reads none of this module's tables: on its first walk the
-index merges LF, the marks and the samples into one hop table
-(PalFMIndex._hops) of 4-byte entries, a row's LF row or, on a sampled
-row, the row count plus its sample, so an LF step is one read, in one of
-two ways (PalFMIndex.locate).  Row by row in Python a hit costs
-0.71-0.73 us at delta 32 and 0.11-0.13 us at delta 1.  An interval of at
-least index._WIDE_WALK rows is walked in numpy instead, through a
-zero-copy ndarray view of the table, one LF step for all its rows still
-walking a round: a round costs 3-6 us, and a walk takes up to delta
-rounds, so on 8,000 rows a hit costs 0.10-0.11 us at delta 32 and 0.02 us
-at delta 1 (Python 3.11, numpy 2.4, one pinned core of a shared 2-vCPU
-Xeon).
+The locate walks read none of this module's tables, but their own hop
+table (PalFMIndex._hops).
 """
 
 import sys

@@ -212,9 +212,13 @@ def test_empty_pattern_exits_1(files, capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    assert cli.main([]) == 1
-    assert cli.main(["frobnicate"]) == 1
-    assert cli.main(["count"]) == 1
+    for argv in ([], ["frobnicate"], ["count"]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: palfm"), argv
+        assert "palfm" in err and ": error: " in err, argv
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: palfm")
 
 
 def test_bad_delta_exits_1(tmp_path, capsys):

@@ -280,6 +280,23 @@ def test_degenerate_texts():
     assert one.count("q") == 1
 
 
+def test_encoded_pi_codes_match_the_oracle():
+    # the certificate reads only the ssp codes, and verify recomputes pi
+    # through _encode, so these codes need a check of their own: pi of
+    # every suffix by the oracle, INF as K+1 and DOLLAR at both ends
+    rng = random.Random(83)
+    texts = [T, "", "a"] + [_small_text(rng, i % 5, rng.randint(1, 16))
+                            for i in range(300)]
+    for t in texts:
+        want = [oracle.sspg_naive(t[s - 1:][::-1])[-1]
+                for s in range(1, len(t) + 1)]
+        k = max((v for v in want if v != INF), default=0)
+        _, k_max, pi_codes = index_mod._encode(t)
+        assert k_max == k, t
+        assert pi_codes.tolist() \
+            == [0] + [k + 1 if v == INF else v for v in want] + [0], t
+
+
 def test_delta_validation():
     with pytest.raises(ValueError):
         build("abc", delta=0)
